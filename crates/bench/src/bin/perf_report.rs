@@ -206,6 +206,12 @@ fn baseline_totals(run: &BaselineRun, lanes: usize) -> SuiteTotals {
     }
 }
 
+/// The model profile every Galois and baseline row prices its prompts
+/// with: the noise-free oracle.
+fn bench_profile() -> ModelProfile {
+    ModelProfile::oracle()
+}
+
 fn main() {
     let seed = seed_from_args();
     let lanes = lanes_from_args();
@@ -213,63 +219,37 @@ fn main() {
     let scenario = Scenario::generate(seed);
 
     let sequential_options = GaloisOptions::default();
-    let sequential = run_galois_suite_parallel(
-        &scenario,
-        ModelProfile::oracle(),
-        sequential_options.clone(),
-        1,
-    );
+    let sequential =
+        run_galois_suite_parallel(&scenario, bench_profile(), sequential_options.clone(), 1);
     let scheduled_options = GaloisOptions {
         parallelism: Parallelism::new(lanes),
         ..Default::default()
     };
-    let scheduled = run_galois_suite_parallel(
-        &scenario,
-        ModelProfile::oracle(),
-        scheduled_options.clone(),
-        lanes,
-    );
+    let scheduled =
+        run_galois_suite_parallel(&scenario, bench_profile(), scheduled_options.clone(), lanes);
     let cost_planner_options = cost_planned_options(lanes);
     let cost_planned = run_galois_suite_parallel(
         &scenario,
-        ModelProfile::oracle(),
+        bench_profile(),
         cost_planner_options.clone(),
         lanes,
     );
     let batch = parsed_flag::<usize>("--batch").unwrap_or(10).max(1);
     let batched_options = batched_stack(lanes, batch);
     let pipelined_options = pipelined_stack(lanes, batch);
-    let batched = run_galois_suite_parallel(
-        &scenario,
-        ModelProfile::oracle(),
-        batched_options.clone(),
-        lanes,
-    );
-    let pipelined = run_galois_suite_parallel(
-        &scenario,
-        ModelProfile::oracle(),
-        pipelined_options.clone(),
-        lanes,
-    );
+    let batched =
+        run_galois_suite_parallel(&scenario, bench_profile(), batched_options.clone(), lanes);
+    let pipelined =
+        run_galois_suite_parallel(&scenario, bench_profile(), pipelined_options.clone(), lanes);
     // The parity pair re-runs both configurations on one harness thread:
     // exactly reproducible totals for CI's equality assertions (the
     // K-thread rows race on the shared sub-entry store across queries).
     let parity_batched = suite_totals(
-        &run_galois_suite_parallel(
-            &scenario,
-            ModelProfile::oracle(),
-            batched_options.clone(),
-            1,
-        ),
+        &run_galois_suite_parallel(&scenario, bench_profile(), batched_options.clone(), 1),
         lanes,
     );
     let parity_pipelined = suite_totals(
-        &run_galois_suite_parallel(
-            &scenario,
-            ModelProfile::oracle(),
-            pipelined_options.clone(),
-            1,
-        ),
+        &run_galois_suite_parallel(&scenario, bench_profile(), pipelined_options.clone(), 1),
         lanes,
     );
     // The listcached pair: one session with the key-universe store on,
@@ -281,7 +261,7 @@ fn main() {
         list_store: ListStore::On,
         ..pipelined_options.clone()
     };
-    let store_profile = ModelProfile::oracle();
+    let store_profile = bench_profile();
     let store_session = Galois::with_options(
         model_for(&scenario, store_profile.clone()),
         scenario.database.clone(),
@@ -338,7 +318,7 @@ fn main() {
     };
     let multiquery = run_suite_concurrent(
         &scenario,
-        ModelProfile::oracle(),
+        bench_profile(),
         multiquery_options.clone(),
         sessions,
     )
@@ -358,7 +338,7 @@ fn main() {
     );
     let paged_oracle = ModelProfile {
         list_page_size: 10,
-        ..ModelProfile::oracle()
+        ..bench_profile()
     };
     let limit_queries: Vec<galois_dataset::OperatorQuery> =
         galois_dataset::build_operator_suite(&wide.world)
@@ -433,7 +413,7 @@ fn main() {
     };
     let faulty_session = Galois::with_options(
         std::sync::Arc::new(FaultyLlm::new(
-            model_for(&scenario, ModelProfile::oracle()),
+            model_for(&scenario, bench_profile()),
             detectable_fault_profile(0.2),
         )),
         scenario.database.clone(),
@@ -441,15 +421,10 @@ fn main() {
     );
     let faulty_retry = run_galois_suite_on(&scenario, &faulty_session, &store_profile.name, 1);
 
-    let qa = run_baseline_suite_parallel(
-        &scenario,
-        ModelProfile::oracle(),
-        BaselineKind::Plain,
-        lanes,
-    );
+    let qa = run_baseline_suite_parallel(&scenario, bench_profile(), BaselineKind::Plain, lanes);
     let cot = run_baseline_suite_parallel(
         &scenario,
-        ModelProfile::oracle(),
+        bench_profile(),
         BaselineKind::ChainOfThought,
         lanes,
     );

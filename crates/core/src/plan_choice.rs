@@ -311,8 +311,8 @@ pub struct StepCost {
     /// Expected total lane-busy milliseconds of the step. Under the
     /// streaming pipeline this is the step's contribution to the shared
     /// lanes' busy bound (each micro-batch pays its own request
-    /// overhead); in wave mode it equals `virtual_ms`, the step's packed
-    /// block length.
+    /// overhead); under the drain trigger it equals `virtual_ms`, the
+    /// step's packed block length.
     pub busy_ms: f64,
 }
 
@@ -832,7 +832,7 @@ impl PlannedQuery {
         } else {
             String::new()
         };
-        // Likewise the pipeline tag: absent in the default wave mode, so
+        // Likewise the pipeline tag: absent under the default drain trigger, so
         // the pre-pipelining report stays byte-identical.
         let pipeline = if params.pipeline_streaming {
             ", pipeline: streaming"

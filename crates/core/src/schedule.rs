@@ -1,26 +1,26 @@
 //! The prompt scheduler: real worker threads for independent retrieval
-//! units.
+//! requests.
 //!
-//! The session decomposes a compiled query into *waves* of independent
-//! work units — every distinct [`crate::compile::LlmScanStep`] of the
-//! query, every chunk of one filter condition, every `(column, chunk)`
-//! cell of the attribute-fetch phase. A wave's units share no data
-//! dependencies, so [`Scheduler::run_wave`] may execute them on up to
-//! `K` OS threads (`K` = the session's [`Parallelism`] knob); results are
-//! always returned in submission order, so downstream code is oblivious
-//! to the interleaving. [`Scheduler::run_wave_streaming`] is the
-//! completion-ordered form used by the pipelined session driver: each
-//! `(index, result)` pair is handed to a sink on the calling thread as
-//! soon as the unit finishes, so downstream work can start before the
-//! wave's stragglers complete.
+//! The session's retrieval dataflow fires its work in rounds of
+//! independent client requests — one barrier wave of a step under the
+//! drain trigger, or one resolved virtual instant's micro-batches under
+//! the streaming trigger. A round's requests share no data dependencies,
+//! so [`Scheduler::run_wave_streaming`] may execute them on up to `K` OS
+//! threads (`K` = the session's [`Parallelism`] knob), handing each
+//! `(index, result)` pair to a sink on the calling thread as soon as the
+//! request finishes; the dataflow keys every result by its index, so the
+//! interleaving is invisible to it. [`Scheduler::run_wave`] is the
+//! positional form — results returned in submission order — used by the
+//! evaluation harness to run whole queries as concurrent streams.
 //!
 //! With `Parallelism(1)` the scheduler runs every unit inline on the
-//! calling thread, in submission order — the exact pre-scheduler
-//! behaviour, which keeps the sequential path bit-for-bit reproducible.
+//! calling thread, in submission order, which keeps the sequential path
+//! bit-for-bit reproducible.
 //!
 //! Virtual-time accounting is deliberately *not* done here: units return
 //! their own virtual cost and the caller packs those costs onto simulated
-//! lanes with [`galois_llm::lane_schedule`], so the virtual clock is a
+//! lanes ([`galois_llm::lane_schedule`] per barrier wave, or the streaming
+//! trigger's [`galois_llm::EventClock`]), so the virtual clock is a
 //! deterministic function of the work, not of OS thread timing.
 
 use galois_llm::Parallelism;
@@ -30,11 +30,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, OnceLock};
 
 thread_local! {
-    /// Set on scheduler worker threads so *nested* waves (a step wave
-    /// spawning its condition/fetch waves, or the harness wave spawning
-    /// per-query step waves) run inline instead of multiplying threads —
-    /// real concurrency stays bounded by the top-level wave's `K` rather
-    /// than compounding to `K²`/`K³`.
+    /// Set on scheduler worker threads so *nested* waves (the harness
+    /// wave running whole queries, each firing its own request rounds)
+    /// run inline instead of multiplying threads — real concurrency stays
+    /// bounded by the top-level wave's `K` rather than compounding to
+    /// `K²`.
     static IN_WAVE_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -117,13 +117,11 @@ impl Scheduler {
     ///
     /// [`Scheduler::run_wave`] is the positional form: it blocks until
     /// every unit has finished and hands back a submission-ordered `Vec`.
-    /// The streaming session driver instead wants to start parsing a
-    /// micro-batch's answers while its siblings are still completing, so
-    /// this form pushes results through a sink running on the *calling*
-    /// thread (the sink needs no `Send` bound and may freely mutate caller
-    /// state). Completion order is nondeterministic by construction —
-    /// callers that need determinism must key their state by the delivered
-    /// index, exactly like the virtual clock does.
+    /// This form instead pushes results through a sink running on the
+    /// *calling* thread (the sink needs no `Send` bound and may freely
+    /// mutate caller state). Completion order is nondeterministic by
+    /// construction — callers that need determinism must key their state
+    /// by the delivered index, exactly like the session's dataflow does.
     ///
     /// The inline cases (one worker, one unit, nested waves) deliver in
     /// submission order. A panicking unit propagates when the scope joins,

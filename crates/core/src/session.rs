@@ -9,42 +9,35 @@
 //! (4) run the remaining operators (joins, aggregates, …) traditionally
 //! ```
 //!
-//! Retrieval runs through the **prompt scheduler** ([`crate::schedule`]):
-//! every distinct LLM scan step of the query, every chunk of a filter
-//! condition, and every `(column, chunk)` cell of the fetch phase is an
-//! independent work unit submitted as one wave and executed across up to
-//! `K` worker threads, where `K` is [`GaloisOptions::parallelism`]. The
-//! virtual clock packs each wave onto `K` simulated request lanes
-//! ([`galois_llm::lane_schedule`]); `Parallelism(1)` reproduces the
-//! original strictly-sequential accounting bit-for-bit. Filter conditions
-//! keep their conjunctive short-circuit order (condition *n + 1* only
-//! prompts for keys that survived condition *n*) because evaluating all
-//! conditions on all keys would inflate prompt volume — the scheduler
-//! parallelises *within* each condition instead.
+//! Retrieval (steps 2–3) runs through one dataflow executor. Every LLM
+//! scan step of the compiled query becomes a stage chain — the key-list
+//! stream, one stage per filter condition (in conjunctive short-circuit
+//! order: a key is asked about condition *n + 1* only if it survived
+//! condition *n*), and the fetch cells — and the session's [`Pipeline`]
+//! picks the *trigger* deciding when a stage's accumulated keys fire:
 //!
-//! With [`GaloisOptions::prompt_batch`] set to [`PromptBatch::Keys`]`(B)`,
-//! the filter and fetch phases switch to the **multi-key protocol**: each
-//! retrieval cell fuses up to `B` keys into one prompt (`ceil(keys / B)`
-//! prompts instead of `keys`), per-key answers are extracted line by line,
-//! previously answered keys are served from the client's sub-entry cache,
-//! and any key whose batched answer fails to parse is re-asked with its
-//! single-key prompt. [`PromptBatch::Off`] (the default) is bit-identical
-//! to the pre-batching pipeline.
+//! * the **drain trigger** ([`Pipeline::Off`], the default) fires a stage
+//!   only once its upstream has fully drained, as barrier waves whose
+//!   time packs onto `K` simulated request lanes
+//!   ([`galois_llm::lane_schedule`]) — the paper's phase-by-phase
+//!   protocol; `Parallelism(1)` is the strictly sequential accounting;
+//! * the **streaming trigger** ([`Pipeline::Streaming`]) fires per-key
+//!   micro-batches the moment they fill, under an event-driven virtual
+//!   clock shared by every step of the query.
 //!
-//! With [`GaloisOptions::pipeline`] set to [`Pipeline::Streaming`], the
-//! barrier-separated phases above become a per-key dataflow under an
-//! event-driven virtual clock: list pages feed filter micro-batch
-//! accumulators, survivors of condition *i* stream into condition *i + 1*
-//! and then into per-column fetch micro-batches, and every step of the
-//! query shares the same `K` simulated lanes. See [`Pipeline`] for the
-//! micro-batch trigger rule and the mode's invariants.
+//! Prompts execute across up to `K` worker threads ([`crate::schedule`]),
+//! where `K` is [`GaloisOptions::parallelism`]. [`GaloisOptions::prompt_batch`]
+//! picks the prompt *shape* independently of the trigger: one key per
+//! prompt ([`PromptBatch::Off`]), `B`-key prompts with per-key sub-entry
+//! caching and single-key fallback re-asks ([`PromptBatch::Keys`]), or
+//! `B`-key × `A`-attribute grid fetches ([`PromptBatch::Grid`]).
 
 use crate::clean::{clean_to_type, normalise_text, CleaningPolicy};
 use crate::compile::{CompileOptions, CompiledQuery, LlmScanStep};
 use crate::error::{GaloisError, Result};
 use crate::parse::{parse_boolean_answer, parse_list_answer, parse_value_answer, ListAnswer};
 use crate::plan_choice::{plan_query, PlannedQuery, Planner, PlannerParams};
-use crate::prompts::PromptBuilder;
+use crate::prompts::{FetchTemplate, PromptBuilder};
 use crate::schedule::Scheduler;
 use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
@@ -53,6 +46,7 @@ use galois_llm::{
     LlmClient, Parallelism, RetryPolicy, SubEntryLookup,
 };
 use galois_relational::{Column, Database, Relation, Table, TableSchema, Value};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -134,20 +128,31 @@ impl PromptBatch {
     }
 }
 
-/// Execution dataflow of the retrieval phases.
+/// The trigger policy of the retrieval dataflow: when a stage's
+/// accumulated keys fire.
 ///
-/// The paper's three-phase protocol (list keys → check filters → fetch
-/// attributes) is naturally expressed as barrier-separated *waves*: every
-/// phase waits for the previous one to drain completely. That leaves a
+/// Both variants run the same executor — list stream → filter stages →
+/// fetch cells, with the same prompts, parsers, sub-entry store, grid
+/// fallback ladder and key-universe store. They differ only in when work
+/// fires and how the virtual clock is charged.
+///
+/// [`Pipeline::Off`] is the **drain trigger**, the paper's three-phase
+/// protocol (list keys → check filters → fetch attributes): a stage fires
+/// only once its upstream stage has fully drained, its keys cut into
+/// chunks at once — single-key prompts grouped `batch_size` per client
+/// request, or `B`-key prompts under [`PromptBatch::Keys`]/[`PromptBatch::Grid`],
+/// with each fallback rung fired as a chained wave. Each such barrier wave
+/// costs the lane-packed makespan of its requests; waves add up within a
+/// step, and the query's steps pack onto the `K` lanes. That leaves a
 /// latency floor — each phase boundary idles every request lane until the
-/// slowest batch of the previous phase lands. [`Pipeline::Streaming`]
-/// removes the barriers: keys flow through the filter chain and into
-/// per-column fetch micro-batches the moment they are known to survive,
-/// and the virtual clock becomes an event-driven simulation
-/// ([`galois_llm::EventClock`]) in which each micro-batch is released at
-/// the instant its inputs exist.
+/// slowest request of the previous phase lands.
 ///
-/// A micro-batch fires when it reaches `B` keys
+/// [`Pipeline::Streaming`] removes the barriers: keys flow through the
+/// filter chain and into per-column fetch micro-batches the moment they
+/// are known to survive, and the virtual clock becomes an event-driven
+/// simulation ([`galois_llm::EventClock`]) in which each micro-batch is
+/// released at the instant its inputs exist. A micro-batch fires when it
+/// reaches `B` keys
 /// ([`GaloisOptions::prompt_batch`]; `B = 1` when batching is off), when
 /// a **lane goes idle** after a virtual instant has fully resolved
 /// (holding a partial batch back while lanes sit empty is pure latency),
@@ -155,41 +160,44 @@ impl PromptBatch {
 /// flush is speculative: if the inputs of a stage later grow a chunk the
 /// flush already split (a later list page, or survivors of a filter
 /// stage whose chunks completed at different instants), streaming spends
-/// *more* prompts than the wave pipeline — extra partial chunks buy
+/// *more* prompts than the drain trigger — extra partial chunks buy
 /// latency, never accuracy. When each stage's input arrives at one
 /// instant — single-page key streams feeding pushed-down scans, the
-/// benchmark configuration — chunk membership and counts match the wave
-/// pipeline exactly.
+/// benchmark configuration — chunk membership and counts match the drain
+/// trigger exactly.
 ///
 /// Invariants:
 ///
-/// * [`Pipeline::Off`] (the default) is bit-identical to the wave
-///   pipeline — prompts per kind, cache hits, both clocks, relations;
+/// * [`Pipeline::Off`] (the default) is bit-exact with the paper-faithful
+///   barrier-wave pipeline — prompts per kind, cache hits, both clocks,
+///   relations (`tests/wave_golden.rs` pins it);
 /// * streaming never changes `R_M` on a noise-free model, for any lane
-///   count or batch factor; its cache-hit totals always match the wave
+///   count or batch factor; its cache-hit totals always match the drain
 ///   run's, and its prompt bill is never lower (and is *equal* whenever
 ///   the idle flush never splits a chunk that later input would have
 ///   filled);
 /// * streaming pays one request overhead per micro-batch (a real
 ///   streaming deployment cannot fuse requests it has not accumulated),
-///   so with a single lane it is *slower* than the wave pipeline, which
+///   so with a single lane it is *slower* than the drain trigger, which
 ///   amortises the overhead across up to `batch_size` prompts per
 ///   request. Pipelining is a concurrency optimisation: the overheads
 ///   overlap across lanes, and the phase barriers disappear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Pipeline {
-    /// Barrier-separated retrieval waves — the paper-faithful dataflow,
-    /// bit-identical to the pre-pipelining releases. The default.
+    /// Drain trigger: a stage fires once its upstream has fully drained,
+    /// in barrier-separated waves — the paper-faithful dataflow. The
+    /// default.
     #[default]
     Off,
-    /// Per-key dataflow under the event-driven virtual clock: list pages
-    /// feed filter micro-batches, survivors stream into the next
-    /// condition and then into per-column fetch micro-batches.
+    /// Streaming trigger: per-key micro-batches under the event-driven
+    /// virtual clock — list pages feed filter micro-batches, survivors
+    /// stream into the next condition and then into per-column fetch
+    /// micro-batches.
     Streaming,
 }
 
 impl Pipeline {
-    /// True when streaming execution is selected.
+    /// True when the streaming trigger is selected.
     pub fn is_streaming(self) -> bool {
         matches!(self, Pipeline::Streaming)
     }
@@ -286,8 +294,8 @@ impl PartialEq for ListStore {
 /// * on a noise-free model, an early-stopped `LIMIT` query returns
 ///   exactly the full evaluation truncated to the window, and never
 ///   issues more prompts than the unlimited query;
-/// * under [`Pipeline::Off`] (wave retrieval) the knob is inert: waves
-///   have no per-key release points to cancel.
+/// * under [`Pipeline::Off`] (the drain trigger) the knob is inert:
+///   barrier waves have no per-key release points to cancel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EarlyStop {
     /// Always materialise the full key universe — the paper-faithful
@@ -467,11 +475,12 @@ pub struct GaloisOptions {
     /// retrieval cell instead of `keys`, with a per-key fallback re-ask
     /// for unparseable batched answers.
     pub prompt_batch: PromptBatch,
-    /// Retrieval dataflow. [`Pipeline::Off`] (the default) runs the
-    /// barrier-separated waves bit for bit; [`Pipeline::Streaming`]
-    /// streams keys through filter and fetch micro-batches under the
-    /// event-driven virtual clock, issuing the same prompts without the
-    /// phase barriers.
+    /// Trigger policy of the retrieval dataflow. [`Pipeline::Off`] (the
+    /// default) is the drain trigger: barrier-separated waves, bit for bit
+    /// the paper-faithful pipeline; [`Pipeline::Streaming`] streams keys
+    /// through filter and fetch micro-batches under the event-driven
+    /// virtual clock, issuing the same prompts without the phase barriers
+    /// (see [`Pipeline`]).
     pub pipeline: Pipeline,
     /// Cross-query key-universe store for the LIST phase.
     /// [`ListStore::Off`] (the default) re-lists every query bit for bit;
@@ -538,20 +547,20 @@ pub struct QueryStats {
     /// Total completion tokens.
     pub completion_tokens: usize,
     /// Virtual milliseconds spent in the model under the session's lane
-    /// count (sequential phases sum; waves of independent units pack onto
-    /// the lanes).
+    /// count (drain trigger: sequential waves sum and independent units
+    /// pack onto the lanes; streaming: the event clock's makespan).
     pub virtual_ms: u64,
     /// Virtual milliseconds a single-lane run would have spent on the same
     /// batches (`serial_virtual_ms == virtual_ms` at `Parallelism(1)`).
     pub serial_virtual_ms: u64,
     /// Virtual milliseconds attributed to the key-listing phase. Phase
-    /// fields measure lane-busy time per protocol phase: in wave mode each
-    /// phase's lane-packed wave times, in streaming mode the scheduled
-    /// durations of that phase's tasks. Within one step the wave-mode
-    /// phases sum to the step's virtual time; across steps (and in
-    /// streaming mode) phases overlap on the lanes, so the three fields
-    /// may sum to more than `virtual_ms` — they locate where the model
-    /// time lives, not how it packs.
+    /// fields measure lane-busy time per protocol phase: under the drain
+    /// trigger each phase's lane-packed wave times, under the streaming
+    /// trigger the scheduled durations of that phase's tasks. Within one
+    /// step the drain trigger's phases sum to the step's virtual time;
+    /// across steps (and when streaming) phases overlap on the lanes, so
+    /// the three fields may sum to more than `virtual_ms` — they locate
+    /// where the model time lives, not how it packs.
     pub list_virtual_ms: u64,
     /// Virtual milliseconds attributed to the filter phase (see
     /// `list_virtual_ms` for the accounting rule).
@@ -627,8 +636,8 @@ enum Phase {
     Fetch,
 }
 
-/// Per-step accounting accumulated during retrieval, folded into
-/// [`QueryStats`] once the step wave completes.
+/// Accounting accumulated by the retrieval dataflow, folded into
+/// [`QueryStats`] once it completes.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepStats {
     list_prompts: usize,
@@ -637,7 +646,6 @@ struct StepStats {
     cache_hits: usize,
     prompt_tokens: usize,
     completion_tokens: usize,
-    virtual_ms: u64,
     /// Phase-attributed virtual time, indexed by [`Phase`] discriminant
     /// order (list, filter, fetch).
     phase_ms: [u64; 3],
@@ -650,54 +658,35 @@ struct StepStats {
 }
 
 impl StepStats {
-    /// Folds one batch's resilience counters in (shared by both absorb
-    /// variants — retry accounting is per model call, never per key).
-    fn absorb_resilience(&mut self, outcome: &BatchOutcome) {
+    /// Folds one request's counters in (time is phase-structured and
+    /// charged separately; retry accounting is per model call, never per
+    /// key).
+    ///
+    /// `keyed` requests — multi-key-protocol prompts (chunks, grid rungs
+    /// and their single-key fallbacks) — skip the prompt-level cache hits:
+    /// their keys are billed per signature by the sub-entry store at
+    /// extraction time. Counting a raw-cache hit on such a prompt would
+    /// bill the same keys twice — and, because raw-cache hits on chunk
+    /// strings only arise when concurrent queries race into identical
+    /// chunks, would make `cache_hits` depend on arrival order. On a
+    /// single harness thread both forms agree exactly: a pending key is by
+    /// construction not yet stored, so a re-ask chunk can never reproduce
+    /// an earlier chunk's prompt string and such hits are zero.
+    fn absorb(&mut self, outcome: &BatchOutcome, keyed: bool) {
+        if !keyed {
+            self.cache_hits += outcome.hits;
+        }
+        self.prompt_tokens += outcome.prompt_tokens;
+        self.completion_tokens += outcome.completion_tokens;
+        self.serial_ms += outcome.serial_ms;
         self.retries += outcome.retries;
         self.timeouts += outcome.timeouts;
         self.rate_limited += outcome.rate_limited;
         self.breaker_fastfails += outcome.breaker_fastfails;
     }
 
-    /// Folds one batch's counters in (time is phase-structured and added
-    /// by the caller, not here).
-    fn absorb(&mut self, outcome: &BatchOutcome) {
-        self.cache_hits += outcome.hits;
-        self.prompt_tokens += outcome.prompt_tokens;
-        self.completion_tokens += outcome.completion_tokens;
-        self.serial_ms += outcome.serial_ms;
-        self.absorb_resilience(outcome);
-    }
-
-    /// Folds one batch's counters in, *except* cache hits — the form used
-    /// for multi-key-protocol prompts (chunks and their single-key
-    /// fallbacks), whose keys are billed per signature by the sub-entry
-    /// store at extraction time. Counting a prompt-level raw-cache hit on
-    /// such a prompt would bill the same keys twice — and, because
-    /// raw-cache hits on chunk strings only arise when concurrent queries
-    /// race into identical chunks, would make `cache_hits` depend on
-    /// arrival order. On a single harness thread this equals [`absorb`]
-    /// exactly: a pending key is by construction not yet stored, so a
-    /// re-ask chunk can never reproduce an earlier chunk's prompt string
-    /// and such hits are zero.
-    ///
-    /// [`absorb`]: StepStats::absorb
-    fn absorb_keyed(&mut self, outcome: &BatchOutcome) {
-        self.prompt_tokens += outcome.prompt_tokens;
-        self.completion_tokens += outcome.completion_tokens;
-        self.serial_ms += outcome.serial_ms;
-        self.absorb_resilience(outcome);
-    }
-
-    /// Charges wave time to the step clock and attributes it to a phase.
-    fn charge_wave(&mut self, phase: Phase, ms: u64) {
-        self.virtual_ms += ms;
-        self.charge_phase(phase, ms);
-    }
-
-    /// Attributes time to a phase without touching the step clock (the
-    /// streaming driver's clock is the event simulation's makespan, not a
-    /// sum).
+    /// Attributes virtual time to a phase (the query clock is the
+    /// trigger's own makespan, not a sum of phases).
     fn charge_phase(&mut self, phase: Phase, ms: u64) {
         self.phase_ms[phase as usize] += ms;
     }
@@ -893,15 +882,37 @@ impl Galois {
     /// chosen plan and its cost report as a one-column `QUERY PLAN`
     /// relation with zero prompt accounting.
     pub fn execute(&self, sql: &str) -> Result<GaloisResult> {
+        self.execute_sql(sql).map(|(result, _)| result)
+    }
+
+    /// Executes one query, returning the result plus the run's task trace
+    /// for cross-query replay. Mirrors [`Galois::execute`] exactly (same
+    /// planner paths, same calibration freeze); `EXPLAIN` statements
+    /// return their plan relation with an empty trace. Requires
+    /// [`Pipeline::Streaming`]: the drain trigger keeps no event clock, so
+    /// it has no task trace to replay.
+    pub(crate) fn execute_traced(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
+        if !self.options.pipeline.is_streaming() {
+            return Err(GaloisError::Unsupported(
+                "cross-query scheduling requires Pipeline::Streaming (the drain trigger \
+                 has no task trace to replay)"
+                    .to_string(),
+            ));
+        }
+        self.execute_sql(sql)
+    }
+
+    fn execute_sql(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
         let stmt = self.parse_statement(sql)?;
         if stmt.is_explain() {
             let params = self.planning_params();
             let planned = self.plan_statement(stmt.select(), &params)?;
             let text = planned.render(self.db.catalog(), &params);
-            return Ok(GaloisResult {
+            let result = GaloisResult {
                 relation: galois_relational::cost::explain_relation(&text),
                 stats: QueryStats::default(),
-            });
+            };
+            return Ok((result, Vec::new()));
         }
         let compiled = match self.options.planner {
             // Fast path, and the bit-exactness invariant made literal: the
@@ -919,50 +930,60 @@ impl Galois {
                     .compiled
             }
         };
-        self.execute_compiled(&compiled)
+        self.execute_compiled_traced(&compiled)
     }
 
-    /// Executes an already-compiled query.
-    ///
-    /// In the default wave dataflow, all distinct LLM scan steps are
-    /// submitted to the scheduler as one wave; the query's virtual time is
-    /// the lane-packed makespan of the step times (their sum at
-    /// `Parallelism(1)`). With [`Pipeline::Streaming`] the steps share one
-    /// event-driven simulation instead (see [`Pipeline`]).
+    /// Executes an already-compiled query: every LLM scan step runs
+    /// through the retrieval dataflow under the session's [`Pipeline`]
+    /// trigger, then the residual plan runs over the materialised steps.
     pub fn execute_compiled(&self, compiled: &CompiledQuery) -> Result<GaloisResult> {
-        if self.options.pipeline.is_streaming() {
-            return self.execute_compiled_streaming(compiled);
-        }
-        let started = Instant::now();
-        let scheduler = Scheduler::new(self.options.parallelism);
-        let lanes = self.options.parallelism.get();
+        self.execute_compiled_traced(compiled)
+            .map(|(result, _)| result)
+    }
 
-        let step_units: Vec<_> = compiled
-            .steps
-            .iter()
-            .map(|step| move || self.retrieve(step))
-            .collect();
-        let retrieved = scheduler.run_wave(step_units);
+    /// [`Galois::execute_compiled`] plus the run's task trace — every
+    /// scheduled task's `(release, duration, completion)` on the private
+    /// event clock, in fire order (empty under the drain trigger). The
+    /// trace is what the cross-query replay ([`crate::multi`]) re-packs
+    /// onto a shared lane pool.
+    fn execute_compiled_traced(
+        &self,
+        compiled: &CompiledQuery,
+    ) -> Result<(GaloisResult, Vec<TracedTask>)> {
+        let started = Instant::now();
+        let mut sim = StreamSim::new(self, compiled);
+        sim.run();
 
         let mut stats = QueryStats::default();
-        let mut step_virtuals = Vec::with_capacity(compiled.steps.len());
+        fold_step_stats(&mut stats, &sim.acc);
+        stats.virtual_ms = sim.makespan();
+        let trace = sim.trace;
         let mut catalog = self.db.catalog().clone();
-        for result in retrieved {
-            let (table, step_stats) = result?;
-            fold_step_stats(&mut stats, &step_stats);
+        for run in sim.steps {
+            let rows: Vec<Vec<Value>> = run
+                .slots
+                .into_iter()
+                .zip(run.keys.iter())
+                .filter(|(slot, _)| slot.alive)
+                .map(|(slot, key)| {
+                    if slot.row.is_empty() {
+                        key_row(run.step, key, &self.options.cleaning)
+                    } else {
+                        slot.row
+                    }
+                })
+                .collect();
+            let table = materialise_step(run.step, rows)?;
             stats.rows_retrieved += table.len();
-            step_virtuals.push(step_stats.virtual_ms);
             catalog
                 .add_table(table)
                 .map_err(|e| GaloisError::Compile(format!("temp table: {e}")))?;
         }
-        stats.virtual_ms = lane_schedule(step_virtuals, lanes);
 
         let relation =
             galois_relational::execute(&compiled.plan, &catalog).map_err(GaloisError::from)?;
-
         stats.wall_ms = started.elapsed().as_millis() as u64;
-        Ok(GaloisResult { relation, stats })
+        Ok((GaloisResult { relation, stats }, trace))
     }
 
     /// Client-level stats accumulated over the session.
@@ -973,811 +994,6 @@ impl Galois {
     // -----------------------------------------------------------------
     // Retrieval (workflow steps 2–3)
     // -----------------------------------------------------------------
-
-    fn retrieve(&self, step: &LlmScanStep) -> Result<(Table, StepStats)> {
-        let scheduler = Scheduler::new(self.options.parallelism);
-        let mut acc = StepStats::default();
-        let keys = self.scan_keys(step, &scheduler, &mut acc);
-        let keys = self.apply_filters(step, keys, &scheduler, &mut acc);
-        let rows = self.fetch_attributes(step, &keys, &scheduler, &mut acc);
-        Ok((materialise_step(step, rows)?, acc))
-    }
-
-    /// Key retrieval. Without a [`ListStore`], iterate the list prompt
-    /// until the model stops producing new values (paper: "we iterate
-    /// with a prompt until we stop getting new results") — bit-identical
-    /// to the pre-store pipeline. With a store, a warm concept is served
-    /// from its stored universe at zero prompt cost (a partial frontier
-    /// resumes classic paging after it), and a cold concept is paged
-    /// *speculatively*: page 1 is the classic first prompt, later pages
-    /// are requested by offset in parallel waves across the lanes.
-    fn scan_keys(
-        &self,
-        step: &LlmScanStep,
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<String> {
-        let Some(store) = &self.list_store else {
-            return self
-                .scan_keys_classic(step, acc, Vec::new(), std::collections::HashSet::new(), 0)
-                .keys;
-        };
-        if self.options.max_list_iterations == 0 {
-            // Nothing may be listed: skip the store entirely (no warm
-            // service, no empty publish), like the streaming path.
-            return Vec::new();
-        }
-        let concept = step.concept_signature();
-        if let Some(stored) = store.read(&concept, &self.model_sig) {
-            // Warm read: the stored frontier's iterations are counted as
-            // cache hits — the same bill a re-listing run would have paid
-            // in prompt-cache hits — at zero prompts and zero virtual
-            // time.
-            acc.cache_hits += stored.iterations;
-            if stored.exhausted || stored.iterations >= self.options.max_list_iterations {
-                return stored.keys;
-            }
-            // Partial frontier (an earlier session hit its iteration cap):
-            // resume classic exclusion paging after the stored keys and
-            // extend the entry append-only.
-            let seen = stored.keys.iter().map(|k| k.to_ascii_lowercase()).collect();
-            let out = self.scan_keys_classic(step, acc, stored.keys, seen, stored.iterations);
-            store.publish(
-                &concept,
-                &self.model_sig,
-                KeyUniverse {
-                    keys: out.keys.clone(),
-                    iterations: out.iterations,
-                    exhausted: out.exhausted,
-                },
-            );
-            return out.keys;
-        }
-        let out = self.scan_keys_speculative(step, scheduler, acc);
-        store.publish(
-            &concept,
-            &self.model_sig,
-            KeyUniverse {
-                keys: out.keys.clone(),
-                iterations: out.iterations,
-                exhausted: out.exhausted,
-            },
-        );
-        out.keys
-    }
-
-    /// Classic exclusion-list key paging, resumable from a stored
-    /// frontier (`initial` keys / `seen` forms / `iterations` already
-    /// paid; all empty/zero on a fresh scan).
-    ///
-    /// Iterations chain on the exclusion list, so this phase is inherently
-    /// sequential; its batches add to the step's virtual time directly.
-    /// The growing exclusion list rides behind an `Arc`, so rendering each
-    /// iteration's prompt shares rather than re-clones every seen key.
-    fn scan_keys_classic(
-        &self,
-        step: &LlmScanStep,
-        acc: &mut StepStats,
-        initial: Vec<String>,
-        mut seen: std::collections::HashSet<String>,
-        start_iterations: usize,
-    ) -> ScanOutcome {
-        let mut keys: Arc<Vec<String>> = Arc::new(initial);
-        let mut iterations = start_iterations;
-        let mut exhausted = false;
-        while iterations < self.options.max_list_iterations {
-            let prompt = {
-                // Scoped so the intent's `Arc` clone dies before
-                // `Arc::make_mut` below — keeping the push in-place.
-                let intent = TaskIntent::ListKeys {
-                    relation: step.table.clone(),
-                    key_attr: step.key_attr.clone(),
-                    condition: step.scan_condition.clone(),
-                    exclude: Arc::clone(&keys),
-                };
-                self.prompt_builder.task(&intent)
-            };
-            let outcome = self.client.complete_outcome(&prompt);
-            acc.list_prompts += 1;
-            iterations += 1;
-            acc.charge_wave(Phase::List, outcome.virtual_ms);
-            acc.absorb(&outcome);
-            if is_fault_text(&outcome.completions[0].text) {
-                // A degraded list page: stop paging, but leave the
-                // frontier resumable (`exhausted` stays false) — a
-                // faulted page must never be recorded as the end of the
-                // universe, so a later query resumes where this one died.
-                acc.failed_cells += 1;
-                break;
-            }
-            match parse_list_answer(&outcome.completions[0].text) {
-                ListAnswer::Exhausted => {
-                    exhausted = true;
-                    break;
-                }
-                ListAnswer::Values(values) => {
-                    let mut got_new = false;
-                    let fresh = Arc::make_mut(&mut keys);
-                    for v in values {
-                        let cleaned = normalise_text(&v);
-                        if cleaned.is_empty() {
-                            continue;
-                        }
-                        if seen.insert(cleaned.to_ascii_lowercase()) {
-                            fresh.push(cleaned);
-                            got_new = true;
-                        }
-                    }
-                    if !got_new {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-        }
-        ScanOutcome {
-            keys: Arc::try_unwrap(keys).unwrap_or_else(|shared| (*shared).clone()),
-            iterations,
-            exhausted,
-        }
-    }
-
-    /// Speculative offset paging for a cold concept (store enabled).
-    ///
-    /// Page 1 is the classic first list prompt — identical string, so it
-    /// shares the prompt cache with store-off runs. Its raw value count
-    /// is the page-size estimate `P`; subsequent pages are requested as
-    /// [`TaskIntent::ListKeysPage`] at offsets `P, 2P, …` in waves whose
-    /// width doubles up to the lane count — the probe wave is one page
-    /// wide (the estimate may be the whole universe), later waves fan
-    /// out. Pages are applied in offset order; the first exhausted page,
-    /// short page or page with nothing new ends the universe (pages
-    /// already fired past it are counted waste — speculation buys
-    /// latency with at most a ramp-width of extra prompts, never
-    /// accuracy). Hitting the iteration cap leaves a partial frontier.
-    fn scan_keys_speculative(
-        &self,
-        step: &LlmScanStep,
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> ScanOutcome {
-        let cap = self.options.max_list_iterations;
-        let mut out = ScanOutcome {
-            keys: Vec::new(),
-            iterations: 0,
-            exhausted: false,
-        };
-        if cap == 0 {
-            return out;
-        }
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let first = {
-            let intent = TaskIntent::ListKeys {
-                relation: step.table.clone(),
-                key_attr: step.key_attr.clone(),
-                condition: step.scan_condition.clone(),
-                exclude: Arc::new(Vec::new()),
-            };
-            self.prompt_builder.task(&intent)
-        };
-        let outcome = self.client.complete_outcome(&first);
-        acc.list_prompts += 1;
-        out.iterations = 1;
-        acc.charge_wave(Phase::List, outcome.virtual_ms);
-        acc.absorb(&outcome);
-        if is_fault_text(&outcome.completions[0].text) {
-            // Degraded first page: give up paging with a resumable
-            // (non-exhausted) empty frontier.
-            acc.failed_cells += 1;
-            return out;
-        }
-        let page_est = match parse_list_answer(&outcome.completions[0].text) {
-            ListAnswer::Exhausted => {
-                out.exhausted = true;
-                return out;
-            }
-            ListAnswer::Values(values) => {
-                let raw = values.len();
-                if !absorb_page(values, &mut out.keys, &mut seen) {
-                    out.exhausted = true;
-                    return out;
-                }
-                raw
-            }
-        };
-
-        let lanes = self.options.parallelism.get();
-        let mut offset = page_est;
-        let mut width = 1usize;
-        let mut faulted = false;
-        while !out.exhausted && !faulted && out.iterations < cap {
-            let width_now = width.min(cap - out.iterations).max(1);
-            let prompts: Vec<String> = (0..width_now)
-                .map(|i| {
-                    self.prompt_builder.task(&TaskIntent::ListKeysPage {
-                        relation: step.table.clone(),
-                        key_attr: step.key_attr.clone(),
-                        condition: step.scan_condition.clone(),
-                        offset: offset + i * page_est,
-                    })
-                })
-                .collect();
-            let units: Vec<_> = prompts
-                .iter()
-                .map(|prompt| move || self.client.complete_outcome(prompt))
-                .collect();
-            let outcomes = scheduler.run_wave(units);
-            acc.list_prompts += width_now;
-            out.iterations += width_now;
-            acc.charge_wave(
-                Phase::List,
-                lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes),
-            );
-            for outcome in &outcomes {
-                acc.absorb(outcome);
-            }
-            // Apply in offset order; the first terminal page wins.
-            for outcome in outcomes {
-                if out.exhausted || faulted {
-                    break;
-                }
-                if is_fault_text(&outcome.completions[0].text) {
-                    // A degraded page ends the ramp resumably: pages
-                    // fired past it are waste (as with any speculative
-                    // overshoot) and the frontier stays non-exhausted.
-                    acc.failed_cells += 1;
-                    faulted = true;
-                    break;
-                }
-                match parse_list_answer(&outcome.completions[0].text) {
-                    ListAnswer::Exhausted => out.exhausted = true,
-                    ListAnswer::Values(values) => {
-                        let raw = values.len();
-                        if !absorb_page(values, &mut out.keys, &mut seen) || raw < page_est {
-                            out.exhausted = true;
-                        }
-                    }
-                }
-            }
-            offset += width_now * page_est;
-            width = (width * 2).min(lanes.max(1));
-        }
-        out
-    }
-
-    /// Selection via boolean prompts: one "is its <attr> <op> <value>?"
-    /// question per key per condition.
-    ///
-    /// Conditions stay in conjunctive short-circuit order (a key is only
-    /// asked about condition *n + 1* if it survived condition *n* — the
-    /// prompt-pruning the paper's operator relies on); the chunks *within*
-    /// one condition are independent and run as one scheduler wave.
-    fn apply_filters(
-        &self,
-        step: &LlmScanStep,
-        keys: Vec<String>,
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<String> {
-        if self.options.prompt_batch.is_on() {
-            return self.apply_filters_batched(step, keys, scheduler, acc);
-        }
-        let lanes = self.options.parallelism.get();
-        let batch = self.options.batch_size.max(1);
-        let mut keys = keys;
-        for condition in &step.filter_conditions {
-            let prompts: Vec<String> = keys
-                .iter()
-                .map(|key| {
-                    self.prompt_builder.task(&TaskIntent::CheckFilter {
-                        relation: step.table.clone(),
-                        key_attr: step.key_attr.clone(),
-                        key: key.clone(),
-                        condition: condition.clone(),
-                    })
-                })
-                .collect();
-            let units: Vec<_> = prompts
-                .chunks(batch)
-                .map(|chunk| move || self.client.complete_batch_outcome(chunk))
-                .collect();
-            let outcomes = scheduler.run_wave(units);
-            acc.filter_prompts += prompts.len();
-            acc.charge_wave(
-                Phase::Filter,
-                lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes),
-            );
-            let mut verdicts = Vec::with_capacity(keys.len());
-            for outcome in &outcomes {
-                acc.absorb(outcome);
-                for completion in &outcome.completions {
-                    if is_fault_text(&completion.text) {
-                        // A degraded verdict keeps the tuple out, like any
-                        // unparseable one, but is counted as a failed cell.
-                        acc.failed_cells += 1;
-                        verdicts.push(false);
-                        continue;
-                    }
-                    // An unparseable verdict keeps the tuple out: the
-                    // predicate did not evaluate to TRUE.
-                    verdicts.push(parse_boolean_answer(&completion.text).unwrap_or(false));
-                }
-            }
-            keys = keys
-                .into_iter()
-                .zip(verdicts)
-                .filter_map(|(k, keep)| keep.then_some(k))
-                .collect();
-        }
-        keys
-    }
-
-    /// Attribute retrieval: one prompt per (key, attribute), batched.
-    ///
-    /// Every `(column, chunk)` cell is independent — the whole phase is a
-    /// single scheduler wave.
-    fn fetch_attributes(
-        &self,
-        step: &LlmScanStep,
-        keys: &[String],
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<Vec<Value>> {
-        if self.options.prompt_batch.is_grid() {
-            return self.fetch_attributes_grid(step, keys, scheduler, acc);
-        }
-        if self.options.prompt_batch.is_on() {
-            return self.fetch_attributes_batched(step, keys, scheduler, acc);
-        }
-        let lanes = self.options.parallelism.get();
-        let batch = self.options.batch_size.max(1);
-        let arity = step.columns.len();
-        let mut rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|key| {
-                let mut row = vec![Value::Null; arity];
-                // The key itself is cleaned to the key column's type.
-                row[step.key_index] = clean_to_type(
-                    key,
-                    step.columns[step.key_index].data_type,
-                    &self.options.cleaning,
-                )
-                .unwrap_or(Value::Null);
-                row
-            })
-            .collect();
-
-        // The per-cell prompt is constant except for the key: render the
-        // template once per column and splice each key in, instead of
-        // re-formatting the whole question per (key, column) — the same
-        // hoist shape as the batched protocol's `cell_sig_prefix`.
-        let col_prompts: Vec<(usize, Vec<String>)> = step
-            .fetch
-            .iter()
-            .map(|&col_idx| {
-                let column = &step.columns[col_idx];
-                let template =
-                    self.prompt_builder
-                        .fetch_template(&step.table, &step.key_attr, &column.name);
-                let prompts = keys.iter().map(|key| template.render(key)).collect();
-                (col_idx, prompts)
-            })
-            .collect();
-
-        let mut unit_columns: Vec<usize> = Vec::new(); // unit → column ordinal
-        let mut units = Vec::new();
-        for (ord, (_, prompts)) in col_prompts.iter().enumerate() {
-            for chunk in prompts.chunks(batch) {
-                unit_columns.push(ord);
-                units.push(move || self.client.complete_batch_outcome(chunk));
-            }
-        }
-        let outcomes = scheduler.run_wave(units);
-        acc.charge_wave(
-            Phase::Fetch,
-            lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes),
-        );
-
-        let mut answers: Vec<Vec<_>> = vec![Vec::new(); col_prompts.len()];
-        for (&ord, outcome) in unit_columns.iter().zip(outcomes) {
-            acc.absorb(&outcome);
-            acc.fetch_prompts += outcome.completions.len();
-            answers[ord].extend(outcome.completions);
-        }
-
-        for ((col_idx, _), col_answers) in col_prompts.iter().zip(answers) {
-            let column = &step.columns[*col_idx];
-            for (row, completion) in rows.iter_mut().zip(col_answers) {
-                let value = if is_fault_text(&completion.text) {
-                    // A degraded fetch annotates the cell as Null.
-                    acc.failed_cells += 1;
-                    Value::Null
-                } else {
-                    parse_value_answer(&completion.text)
-                        .and_then(|raw| {
-                            clean_to_type(&raw, column.data_type, &self.options.cleaning)
-                        })
-                        .map(|v| match v {
-                            Value::Text(s) => Value::Text(normalise_text(&s)),
-                            other => other,
-                        })
-                        .unwrap_or(Value::Null)
-                };
-                row[*col_idx] = value;
-            }
-        }
-
-        rows
-    }
-
-    // -----------------------------------------------------------------
-    // Multi-key batched retrieval (`PromptBatch::Keys(B)`)
-    // -----------------------------------------------------------------
-
-    /// Selection with the multi-key protocol: conditions keep their
-    /// conjunctive short-circuit order, but within one condition the
-    /// surviving keys are fused into `ceil(keys / B)` prompts instead of
-    /// `keys`. An unparseable per-key verdict falls back to the single-key
-    /// prompt before deciding; a key whose *fallback* verdict still fails
-    /// to parse is kept out, exactly like the single-key path.
-    fn apply_filters_batched(
-        &self,
-        step: &LlmScanStep,
-        keys: Vec<String>,
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<String> {
-        let mut keys = keys;
-        for condition in &step.filter_conditions {
-            let mut cells = self.run_batched_cells(
-                step,
-                vec![(BatchCell::Filter(condition), keys.as_slice())],
-                Phase::Filter,
-                scheduler,
-                acc,
-            );
-            let (answers, prompts) = cells.pop().expect("one cell per condition");
-            acc.filter_prompts += prompts;
-            keys = keys
-                .into_iter()
-                .zip(answers)
-                .filter_map(|(k, answer)| {
-                    if is_fault_text(&answer) {
-                        acc.failed_cells += 1;
-                        return None;
-                    }
-                    parse_boolean_answer(&answer).unwrap_or(false).then_some(k)
-                })
-                .collect();
-        }
-        keys
-    }
-
-    /// Attribute retrieval with the multi-key protocol: every fetched
-    /// column is one cell whose pending keys are fused into `ceil(keys /
-    /// B)` prompts; all columns' batched prompts form one scheduler wave
-    /// (and all columns' fallback re-asks a second, chained wave), like
-    /// the single-key fetch phase's `(column × chunk)` wave.
-    fn fetch_attributes_batched(
-        &self,
-        step: &LlmScanStep,
-        keys: &[String],
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<Vec<Value>> {
-        let arity = step.columns.len();
-        let mut rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|key| {
-                let mut row = vec![Value::Null; arity];
-                row[step.key_index] = clean_to_type(
-                    key,
-                    step.columns[step.key_index].data_type,
-                    &self.options.cleaning,
-                )
-                .unwrap_or(Value::Null);
-                row
-            })
-            .collect();
-
-        let cells: Vec<(BatchCell, &[String])> = step
-            .fetch
-            .iter()
-            .map(|&col_idx| (BatchCell::Fetch(&step.columns[col_idx].name), keys))
-            .collect();
-        let results = self.run_batched_cells(step, cells, Phase::Fetch, scheduler, acc);
-
-        for (&col_idx, (answers, prompts)) in step.fetch.iter().zip(results) {
-            acc.fetch_prompts += prompts;
-            let column = &step.columns[col_idx];
-            for (row, answer) in rows.iter_mut().zip(answers) {
-                let value = if is_fault_text(&answer) {
-                    // A degraded fetch annotates the cell as Null.
-                    acc.failed_cells += 1;
-                    Value::Null
-                } else {
-                    parse_value_answer(&answer)
-                        .and_then(|raw| {
-                            clean_to_type(&raw, column.data_type, &self.options.cleaning)
-                        })
-                        .map(|v| match v {
-                            Value::Text(s) => Value::Text(normalise_text(&s)),
-                            other => other,
-                        })
-                        .unwrap_or(Value::Null)
-                };
-                row[col_idx] = value;
-            }
-        }
-
-        rows
-    }
-
-    /// Attribute retrieval with the grid protocol (`PromptBatch::Grid`):
-    /// the fetched columns are grouped into attr-groups of up to `A`, and
-    /// each group's pending keys are fused into `ceil(keys / B)` prompts
-    /// asking *all* of the group's attributes at once — `ceil(C / A) ×
-    /// ceil(keys / B)` prompts instead of `C × ceil(keys / B)`. Four
-    /// stages, extending [`Galois::run_batched_cells`]'s three with the
-    /// fallback ladder's middle rung:
-    ///
-    /// 1. **sub-entry extraction** per `(key, attr)` cell, through the
-    ///    *same* per-attribute signatures the key-batched and single
-    ///    paths use — grid answers serve later single-attr or key-batched
-    ///    asks and vice versa, for free;
-    /// 2. **grid prompts** — one chunk stream per attr-group over the
-    ///    keys still missing *any* of the group's cells, one wave;
-    /// 3. **per-attribute key-batch fallback** — cells whose grid line
-    ///    failed to parse re-ask as [`TaskIntent::FetchAttrBatch`]
-    ///    chunks, a second chained wave;
-    /// 4. **per-key single fallback** — still-missing cells re-ask as
-    ///    [`TaskIntent::FetchAttr`] singles, a third chained wave.
-    ///
-    /// Grid fusion may cost extra prompts (rungs 3 and 4), never
-    /// accuracy: every cell ends answered by the same single-prompt
-    /// semantics the ladder bottoms out in.
-    fn fetch_attributes_grid(
-        &self,
-        step: &LlmScanStep,
-        keys: &[String],
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<Vec<Value>> {
-        let lanes = self.options.parallelism.get();
-        let batch = self.options.batch_size.max(1);
-        let fuse = self.options.prompt_batch.keys_per_prompt();
-        let attr_fuse = self.options.prompt_batch.attrs_per_prompt();
-
-        let arity = step.columns.len();
-        let mut rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|key| {
-                let mut row = vec![Value::Null; arity];
-                row[step.key_index] = clean_to_type(
-                    key,
-                    step.columns[step.key_index].data_type,
-                    &self.options.cleaning,
-                )
-                .unwrap_or(Value::Null);
-                row
-            })
-            .collect();
-
-        let n_cols = step.fetch.len();
-        // Per-column sub-entry prefixes — the same signatures the
-        // key-batched and single-key fallback prompts store under.
-        let prefixes: Vec<String> = step
-            .fetch
-            .iter()
-            .map(|&col| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns[col].name)))
-            .collect();
-        let mut sig = String::new();
-
-        // Stage 1: per-(key, attr) sub-entry extraction.
-        let mut answers: Vec<Vec<Option<String>>> = vec![vec![None; keys.len()]; n_cols];
-        let mut pending: Vec<Vec<bool>> = vec![vec![false; keys.len()]; n_cols];
-        for ci in 0..n_cols {
-            for (i, key) in keys.iter().enumerate() {
-                match self
-                    .client
-                    .extract_sub_entry(sig_for_key(&mut sig, &prefixes[ci], key))
-                {
-                    SubEntryLookup::Hit(answer) => {
-                        acc.cache_hits += 1;
-                        answers[ci][i] = Some(answer);
-                    }
-                    SubEntryLookup::InFlight => {
-                        acc.cache_hits += 1;
-                        pending[ci][i] = true;
-                    }
-                    SubEntryLookup::Miss => pending[ci][i] = true,
-                }
-            }
-        }
-
-        // Stage 2: grid prompts — a chunk stream per attr-group (columns
-        // `step.fetch[start..start + len]`), all groups in one wave. A
-        // key joins a group's chunks when *any* of the group's cells is
-        // still missing; already-cached cells of that key are simply
-        // skipped at parse time (first answer wins).
-        let groups: Vec<(usize, usize)> = (0..n_cols)
-            .step_by(attr_fuse)
-            .map(|start| (start, attr_fuse.min(n_cols - start)))
-            .collect();
-        let mut chunk_groups: Vec<usize> = Vec::new();
-        let mut chunk_members: Vec<Vec<usize>> = Vec::new();
-        let mut chunk_prompts: Vec<String> = Vec::new();
-        for (gi, &(start, len)) in groups.iter().enumerate() {
-            let members: Vec<usize> = (0..keys.len())
-                .filter(|&i| {
-                    (start..start + len).any(|ci| pending[ci][i] && answers[ci][i].is_none())
-                })
-                .collect();
-            for chunk in members.chunks(fuse) {
-                let chunk_keys: Vec<String> = chunk.iter().map(|&i| keys[i].clone()).collect();
-                chunk_prompts.push(
-                    self.prompt_builder
-                        .task(&self.grid_intent(step, start, len, chunk_keys)),
-                );
-                chunk_groups.push(gi);
-                chunk_members.push(chunk.to_vec());
-            }
-        }
-        acc.fetch_prompts += chunk_prompts.len();
-        let completions = self.run_cell_wave(
-            &chunk_prompts,
-            &chunk_groups,
-            batch,
-            lanes,
-            Phase::Fetch,
-            scheduler,
-            acc,
-        );
-        for ((&gi, members), completion) in chunk_groups.iter().zip(&chunk_members).zip(completions)
-        {
-            let (start, len) = groups[gi];
-            let pads = grid_pad_columns(step, start, len, attr_fuse);
-            let pad_prefixes: Vec<String> = pads
-                .iter()
-                .map(|&c| self.cell_sig_prefix(step, &BatchCell::Fetch(&step.columns[c].name)))
-                .collect();
-            let chunk_keys: Vec<String> = members.iter().map(|&i| keys[i].clone()).collect();
-            let attr_names: Vec<String> = (start..start + len)
-                .map(|ci| step.columns[step.fetch[ci]].name.clone())
-                .chain(pads.iter().map(|&c| step.columns[c].name.clone()))
-                .collect();
-            let mut cells = split_grid_answer(&completion.text, &chunk_keys, &attr_names);
-            for (ki, &i) in members.iter().enumerate() {
-                for (ord, ci) in (start..start + len).enumerate() {
-                    if !pending[ci][i] || answers[ci][i].is_some() {
-                        continue;
-                    }
-                    if let Some(answer) = cells[ki][ord].take() {
-                        self.client.store_sub_entry(
-                            sig_for_key(&mut sig, &prefixes[ci], &keys[i]),
-                            &answer,
-                        );
-                        answers[ci][i] = Some(answer);
-                    }
-                }
-                // Speculative pad cells only seed the sub-entry store —
-                // they never feed rows and never enter the fallback
-                // ladder (first stored write wins, so a pad can't flap an
-                // already-extracted cell).
-                for (pi, prefix) in pad_prefixes.iter().enumerate() {
-                    if let Some(answer) = cells[ki][len + pi].take() {
-                        self.client
-                            .store_sub_entry(sig_for_key(&mut sig, prefix, &keys[i]), &answer);
-                    }
-                }
-            }
-        }
-
-        // Stage 3: per-attribute key-batch fallback, a chained wave.
-        let mut fb_cols: Vec<usize> = Vec::new();
-        let mut fb_members: Vec<Vec<usize>> = Vec::new();
-        let mut fb_prompts: Vec<String> = Vec::new();
-        for ci in 0..n_cols {
-            let rem: Vec<usize> = (0..keys.len())
-                .filter(|&i| pending[ci][i] && answers[ci][i].is_none())
-                .collect();
-            for chunk in rem.chunks(fuse) {
-                let chunk_keys: Vec<String> = chunk.iter().map(|&i| keys[i].clone()).collect();
-                let cell = BatchCell::Fetch(&step.columns[step.fetch[ci]].name);
-                fb_prompts.push(
-                    self.prompt_builder
-                        .task(&self.cell_batched_intent(step, &cell, chunk_keys)),
-                );
-                fb_cols.push(ci);
-                fb_members.push(chunk.to_vec());
-            }
-        }
-        acc.fetch_prompts += fb_prompts.len();
-        let completions = self.run_cell_wave(
-            &fb_prompts,
-            &fb_cols,
-            batch,
-            lanes,
-            Phase::Fetch,
-            scheduler,
-            acc,
-        );
-        for ((&ci, members), completion) in fb_cols.iter().zip(&fb_members).zip(completions) {
-            let chunk_keys: Vec<String> = members.iter().map(|&i| keys[i].clone()).collect();
-            for (&i, sub) in members
-                .iter()
-                .zip(split_batched_answer(&completion.text, &chunk_keys))
-            {
-                if let Some(answer) = sub {
-                    self.client
-                        .store_sub_entry(sig_for_key(&mut sig, &prefixes[ci], &keys[i]), &answer);
-                    answers[ci][i] = Some(answer);
-                }
-            }
-        }
-
-        // Stage 4: per-key single fallback, the ladder's bottom rung.
-        let mut single_cols: Vec<usize> = Vec::new();
-        let mut single_keys: Vec<usize> = Vec::new();
-        let mut single_prompts: Vec<String> = Vec::new();
-        for ci in 0..n_cols {
-            for i in 0..keys.len() {
-                if pending[ci][i] && answers[ci][i].is_none() {
-                    let cell = BatchCell::Fetch(&step.columns[step.fetch[ci]].name);
-                    single_prompts.push(
-                        self.prompt_builder
-                            .task(&self.cell_single_intent(step, &cell, &keys[i])),
-                    );
-                    single_cols.push(ci);
-                    single_keys.push(i);
-                }
-            }
-        }
-        acc.fetch_prompts += single_prompts.len();
-        let completions = self.run_cell_wave(
-            &single_prompts,
-            &single_cols,
-            batch,
-            lanes,
-            Phase::Fetch,
-            scheduler,
-            acc,
-        );
-        for ((&ci, &i), completion) in single_cols.iter().zip(&single_keys).zip(completions) {
-            self.client.store_sub_entry(
-                sig_for_key(&mut sig, &prefixes[ci], &keys[i]),
-                &completion.text,
-            );
-            answers[ci][i] = Some(completion.text);
-        }
-
-        for (ci, &col_idx) in step.fetch.iter().enumerate() {
-            let column = &step.columns[col_idx];
-            for (i, row) in rows.iter_mut().enumerate() {
-                let answer = answers[ci][i]
-                    .take()
-                    .expect("every grid cell answered by sub-entry, grid, batch or fallback");
-                let value = if is_fault_text(&answer) {
-                    // A degraded fetch annotates the cell as Null.
-                    acc.failed_cells += 1;
-                    Value::Null
-                } else {
-                    parse_value_answer(&answer)
-                        .and_then(|raw| {
-                            clean_to_type(&raw, column.data_type, &self.options.cleaning)
-                        })
-                        .map(|v| match v {
-                            Value::Text(s) => Value::Text(normalise_text(&s)),
-                            other => other,
-                        })
-                        .unwrap_or(Value::Null)
-                };
-                row[col_idx] = value;
-            }
-        }
-
-        rows
-    }
 
     /// The grid intent for one chunk of keys × one contiguous attr-group
     /// of the step's fetched columns (`step.fetch[start..start + len]`),
@@ -1869,219 +1085,6 @@ impl Galois {
             },
         }
     }
-
-    /// Answers every `(cell, key)` pair of one retrieval phase through the
-    /// multi-key protocol. Three stages:
-    ///
-    /// 1. **sub-entry extraction** — keys already answered by an earlier
-    ///    batched or single prompt are served from the client's per-key
-    ///    cache (counted as cache hits, zero prompts, zero virtual time);
-    /// 2. **batched prompts** — each cell's pending keys are fused into
-    ///    `ceil(pending / B)` prompts, grouped per cell into client
-    ///    batches of `batch_size`, all cells in one scheduler wave;
-    /// 3. **fallback** — any key whose batched answer failed to parse is
-    ///    re-asked with its single-key prompt in a second, chained wave
-    ///    (batching may cost prompts, never accuracy).
-    ///
-    /// Returns, per cell, one answer string per key (aligned with the
-    /// cell's key slice) and the number of prompts issued for it.
-    fn run_batched_cells(
-        &self,
-        step: &LlmScanStep,
-        cells: Vec<(BatchCell, &[String])>,
-        phase: Phase,
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<(Vec<String>, usize)> {
-        let lanes = self.options.parallelism.get();
-        let batch = self.options.batch_size.max(1);
-        let fuse = self.options.prompt_batch.keys_per_prompt();
-
-        struct CellState {
-            answers: Vec<Option<String>>,
-            pending: Vec<usize>,
-            prompts: usize,
-        }
-
-        // Each cell's signature prefix is built once; the per-key loops
-        // below append only the key onto a reused buffer.
-        let prefixes: Vec<String> = cells
-            .iter()
-            .map(|(cell, _)| self.cell_sig_prefix(step, cell))
-            .collect();
-        let mut sig = String::new();
-
-        // Stage 1: per-key sub-entry extraction.
-        let mut states: Vec<CellState> = cells
-            .iter()
-            .zip(&prefixes)
-            .map(|((_, keys), prefix)| {
-                let mut answers = vec![None; keys.len()];
-                let mut pending = Vec::new();
-                for (i, key) in keys.iter().enumerate() {
-                    match self
-                        .client
-                        .extract_sub_entry(sig_for_key(&mut sig, prefix, key))
-                    {
-                        SubEntryLookup::Hit(answer) => {
-                            acc.cache_hits += 1;
-                            answers[i] = Some(answer);
-                        }
-                        // In flight elsewhere: already billed as a hit by
-                        // the client; re-ask rather than block so prompt
-                        // counts stay a local decision (determinism note
-                        // on [`LlmClient::extract_sub_entry`]).
-                        SubEntryLookup::InFlight => {
-                            acc.cache_hits += 1;
-                            pending.push(i);
-                        }
-                        SubEntryLookup::Miss => pending.push(i),
-                    }
-                }
-                CellState {
-                    answers,
-                    pending,
-                    prompts: 0,
-                }
-            })
-            .collect();
-
-        // Stage 2: batched prompts, one wave across all cells.
-        let mut chunk_cells: Vec<usize> = Vec::new();
-        let mut chunk_members: Vec<Vec<usize>> = Vec::new();
-        let mut chunk_prompts: Vec<String> = Vec::new();
-        for (ci, (cell, keys)) in cells.iter().enumerate() {
-            for chunk in states[ci].pending.chunks(fuse) {
-                let chunk_keys: Vec<String> = chunk.iter().map(|&i| keys[i].clone()).collect();
-                chunk_prompts.push(
-                    self.prompt_builder
-                        .task(&self.cell_batched_intent(step, cell, chunk_keys)),
-                );
-                chunk_cells.push(ci);
-                chunk_members.push(chunk.to_vec());
-            }
-            states[ci].prompts += states[ci].pending.len().div_ceil(fuse);
-        }
-        let completions = self.run_cell_wave(
-            &chunk_prompts,
-            &chunk_cells,
-            batch,
-            lanes,
-            phase,
-            scheduler,
-            acc,
-        );
-        for ((&ci, members), completion) in chunk_cells.iter().zip(&chunk_members).zip(completions)
-        {
-            let (_, keys) = &cells[ci];
-            let chunk_keys: Vec<String> = members.iter().map(|&i| keys[i].clone()).collect();
-            for (&i, sub) in members
-                .iter()
-                .zip(split_batched_answer(&completion.text, &chunk_keys))
-            {
-                if let Some(answer) = sub {
-                    self.client
-                        .store_sub_entry(sig_for_key(&mut sig, &prefixes[ci], &keys[i]), &answer);
-                    states[ci].answers[i] = Some(answer);
-                }
-            }
-        }
-
-        // Stage 3: per-key fallback re-asks, a second chained wave.
-        let mut fb_cells: Vec<usize> = Vec::new();
-        let mut fb_keys: Vec<usize> = Vec::new();
-        let mut fb_prompts: Vec<String> = Vec::new();
-        for (ci, (cell, keys)) in cells.iter().enumerate() {
-            let before = fb_prompts.len();
-            for &i in &states[ci].pending {
-                if states[ci].answers[i].is_none() {
-                    fb_prompts.push(
-                        self.prompt_builder
-                            .task(&self.cell_single_intent(step, cell, &keys[i])),
-                    );
-                    fb_cells.push(ci);
-                    fb_keys.push(i);
-                }
-            }
-            states[ci].prompts += fb_prompts.len() - before;
-        }
-        let completions =
-            self.run_cell_wave(&fb_prompts, &fb_cells, batch, lanes, phase, scheduler, acc);
-        for ((&ci, &i), completion) in fb_cells.iter().zip(&fb_keys).zip(completions) {
-            let (_, keys) = &cells[ci];
-            self.client.store_sub_entry(
-                sig_for_key(&mut sig, &prefixes[ci], &keys[i]),
-                &completion.text,
-            );
-            states[ci].answers[i] = Some(completion.text);
-        }
-
-        states
-            .into_iter()
-            .map(|st| {
-                let answers = st
-                    .answers
-                    .into_iter()
-                    .map(|a| a.expect("every key answered by sub-entry, batch or fallback"))
-                    .collect();
-                (answers, st.prompts)
-            })
-            .collect()
-    }
-
-    /// Runs one wave of cell prompts: consecutive prompts of the same cell
-    /// are grouped into client batches of up to `batch` members (client
-    /// batches never span cells, mirroring the single-key phases), the
-    /// wave's virtual makespan is added to the step clock, and the
-    /// completions come back flattened in prompt order.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell_wave(
-        &self,
-        prompts: &[String],
-        prompt_cells: &[usize],
-        batch: usize,
-        lanes: usize,
-        phase: Phase,
-        scheduler: &Scheduler,
-        acc: &mut StepStats,
-    ) -> Vec<galois_llm::Completion> {
-        if prompts.is_empty() {
-            return Vec::new();
-        }
-        let mut bounds: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0;
-        while start < prompts.len() {
-            let mut end = start + 1;
-            while end < prompts.len()
-                && prompt_cells[end] == prompt_cells[start]
-                && end - start < batch
-            {
-                end += 1;
-            }
-            bounds.push((start, end));
-            start = end;
-        }
-        let units: Vec<_> = bounds
-            .iter()
-            .map(|&(s, e)| {
-                let slice = &prompts[s..e];
-                move || self.client.complete_batch_outcome(slice)
-            })
-            .collect();
-        let outcomes = scheduler.run_wave(units);
-        acc.charge_wave(
-            phase,
-            lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes),
-        );
-        let mut completions = Vec::with_capacity(prompts.len());
-        for outcome in outcomes {
-            // Multi-key-protocol prompts: key-level hits were already
-            // billed by signature at sub-entry extraction.
-            acc.absorb_keyed(&outcome);
-            completions.extend(outcome.completions);
-        }
-        completions
-    }
 }
 
 /// One retrieval cell of the batched protocol: a filter condition, or a
@@ -2103,10 +1106,9 @@ fn sig_for_key<'b>(buf: &'b mut String, prefix: &str, key: &str) -> &'b str {
     buf
 }
 
-/// Folds one step's accounting into the query stats — everything except
-/// the packed virtual clock, which each dataflow computes its own way
-/// (wave: lane-packed step times; streaming: the event simulation's
-/// makespan).
+/// Folds the dataflow's accounting into the query stats — everything
+/// except the virtual clock, which each trigger computes its own way
+/// ([`StreamSim::makespan`]).
 fn fold_step_stats(stats: &mut QueryStats, step: &StepStats) {
     stats.list_prompts += step.list_prompts;
     stats.filter_prompts += step.filter_prompts;
@@ -2125,37 +1127,13 @@ fn fold_step_stats(stats: &mut QueryStats, step: &StepStats) {
     stats.failed_cells += step.failed_cells;
 }
 
-/// Result of a key-listing scan: the keys plus the store bookkeeping
-/// ([`KeyUniverse`]) needed to publish them — how many list prompts the
-/// universe cost and whether the model was paged to exhaustion (vs the
-/// iteration cap cutting the frontier short).
-struct ScanOutcome {
-    keys: Vec<String>,
-    iterations: usize,
-    exhausted: bool,
-}
-
-/// Folds one list page's raw values into `keys`/`seen` (cleaning each
-/// surface and deduplicating case-insensitively, exactly like classic
-/// paging). Returns `false` when the page contributed nothing new — the
-/// universe is exhausted.
-fn absorb_page(
-    values: Vec<String>,
-    keys: &mut Vec<String>,
-    seen: &mut std::collections::HashSet<String>,
-) -> bool {
-    let mut got_new = false;
-    for v in values {
-        let cleaned = normalise_text(&v);
-        if cleaned.is_empty() {
-            continue;
-        }
-        if seen.insert(cleaned.to_ascii_lowercase()) {
-            keys.push(cleaned);
-            got_new = true;
-        }
-    }
-    got_new
+/// A key's materialising row before any fetched value lands: the key
+/// cleaned to the key column's type, every other column `Null`.
+fn key_row(step: &LlmScanStep, key: &str, cleaning: &CleaningPolicy) -> Vec<Value> {
+    let mut row = vec![Value::Null; step.columns.len()];
+    let key_type = step.columns[step.key_index].data_type;
+    row[step.key_index] = clean_to_type(key, key_type, cleaning).unwrap_or(Value::Null);
+    row
 }
 
 /// Materialises retrieved rows as a step's temporary table: same column
@@ -2189,98 +1167,8 @@ fn materialise_step(step: &LlmScanStep, rows: Vec<Vec<Value>>) -> Result<Table> 
 }
 
 // ---------------------------------------------------------------------
-// Pipelined streaming retrieval (`Pipeline::Streaming`)
+// The retrieval dataflow
 // ---------------------------------------------------------------------
-
-impl Galois {
-    /// Executes a compiled query with the streaming dataflow: all steps
-    /// share one event-driven simulation ([`galois_llm::EventClock`])
-    /// instead of barrier-separated waves. See [`Pipeline`] for the
-    /// dataflow and its invariants.
-    fn execute_compiled_streaming(&self, compiled: &CompiledQuery) -> Result<GaloisResult> {
-        self.execute_compiled_streaming_traced(compiled)
-            .map(|(result, _)| result)
-    }
-
-    /// [`Galois::execute_compiled_streaming`] plus the run's task trace —
-    /// every scheduled task's `(release, duration, completion)` on the
-    /// private clock, in fire order. The trace is what the cross-query
-    /// replay ([`crate::multi`]) re-packs onto a shared lane pool.
-    fn execute_compiled_streaming_traced(
-        &self,
-        compiled: &CompiledQuery,
-    ) -> Result<(GaloisResult, Vec<TracedTask>)> {
-        let started = Instant::now();
-        let mut sim = StreamSim::new(self, compiled);
-        sim.run();
-
-        let mut stats = QueryStats::default();
-        fold_step_stats(&mut stats, &sim.acc);
-        stats.virtual_ms = sim.clock.makespan();
-        let trace = sim.trace;
-        let mut catalog = self.db.catalog().clone();
-        for run in sim.steps {
-            let rows: Vec<Vec<Value>> = run
-                .slots
-                .into_iter()
-                .filter(|slot| slot.alive)
-                .map(|slot| slot.row)
-                .collect();
-            let table = materialise_step(run.step, rows)?;
-            stats.rows_retrieved += table.len();
-            catalog
-                .add_table(table)
-                .map_err(|e| GaloisError::Compile(format!("temp table: {e}")))?;
-        }
-
-        let relation =
-            galois_relational::execute(&compiled.plan, &catalog).map_err(GaloisError::from)?;
-        stats.wall_ms = started.elapsed().as_millis() as u64;
-        Ok((GaloisResult { relation, stats }, trace))
-    }
-
-    /// Executes one query through the streaming engine, returning the
-    /// result plus the run's task trace for cross-query replay. Mirrors
-    /// [`Galois::execute`] exactly (same planner paths, same calibration
-    /// freeze); `EXPLAIN` statements return their plan relation with an
-    /// empty trace. Requires [`Pipeline::Streaming`].
-    pub(crate) fn execute_traced(&self, sql: &str) -> Result<(GaloisResult, Vec<TracedTask>)> {
-        if !self.options.pipeline.is_streaming() {
-            return Err(GaloisError::Unsupported(
-                "cross-query scheduling requires Pipeline::Streaming (the wave dataflow \
-                 has no task trace to replay)"
-                    .to_string(),
-            ));
-        }
-        let stmt = self.parse_statement(sql)?;
-        if stmt.is_explain() {
-            let params = self.planning_params();
-            let planned = self.plan_statement(stmt.select(), &params)?;
-            let text = planned.render(self.db.catalog(), &params);
-            return Ok((
-                GaloisResult {
-                    relation: galois_relational::cost::explain_relation(&text),
-                    stats: QueryStats::default(),
-                },
-                Vec::new(),
-            ));
-        }
-        let compiled = match self.options.planner {
-            Planner::Heuristic => {
-                let plan = self
-                    .db
-                    .plan_statement(stmt.select())
-                    .map_err(GaloisError::from)?;
-                crate::compile::compile(&plan, self.db.catalog(), &self.options.compile)?
-            }
-            Planner::CostBased => {
-                self.plan_statement(stmt.select(), &self.planning_params())?
-                    .compiled
-            }
-        };
-        self.execute_compiled_streaming_traced(&compiled)
-    }
-}
 
 /// One scheduled task of a streaming run, as captured for cross-query
 /// replay: when the private clock released it, how long it ran, and when
@@ -2295,7 +1183,7 @@ pub(crate) struct TracedTask {
     pub(crate) completion: u64,
 }
 
-/// One retrieval cell of a streaming stage, by index into the step (the
+/// One retrieval cell of a dataflow stage, by index into the step (the
 /// borrowed [`BatchCell`] form is reconstructed on demand).
 #[derive(Debug, Clone, Copy)]
 enum StageCell {
@@ -2306,32 +1194,35 @@ enum StageCell {
     Fetch { col: usize },
     /// One attr-group of the grid protocol: the columns
     /// `step.fetch[start..start + len]`, fused into one prompt stream.
-    /// Survivors fan out to per-group micro-batches instead of
-    /// per-column ones.
+    /// Survivors fan out to per-group chunks instead of per-column ones.
     Grid { start: usize, len: usize },
 }
 
-/// One micro-batch accumulator of the streaming dataflow: a filter
-/// condition or a fetched column of one step.
+/// One accumulator of the dataflow: a filter condition, a fetched column
+/// or a grid attr-group of one step.
 #[derive(Debug)]
 struct StageState {
     cell: StageCell,
     /// Sub-entry signature prefixes of the stage's cells (empty when the
     /// multi-key protocol is off — plain single-key prompts bypass the
-    /// sub-entry store, exactly like the wave pipeline). Single-cell
-    /// stages use `[0]`; a grid stage holds one per attr ordinal.
+    /// sub-entry store). Single-cell stages use `[0]`; a grid stage holds
+    /// one per attr ordinal.
     sig_prefixes: Vec<String>,
-    /// Key slots accumulated towards the next micro-batch (always fewer
-    /// than the fuse factor — full batches fire immediately).
+    /// The single-key prompt template of a fetch-column stage (`None`
+    /// elsewhere): the per-key hot loop splices the key into a prompt
+    /// rendered once per column.
+    fetch_template: Option<FetchTemplate>,
+    /// Key slots accumulated towards the next fire: under the streaming
+    /// trigger always fewer than the fuse factor (full micro-batches fire
+    /// immediately); under the drain trigger every key delivered so far,
+    /// cut into chunks once upstream has drained.
     pending: Vec<usize>,
     /// Micro-batches and fallback re-asks in flight.
     inflight: usize,
     /// `(slot, attr ordinal)` cells already consumed at a grid stage —
     /// grid chunks carry keys with *some* cells still cached or
     /// re-delivered, and an answered cell must neither re-consume nor
-    /// re-enter the fallback ladder (mirrors the wave path's
-    /// `pending && answers.is_none()` guard). Unused at single-cell
-    /// stages.
+    /// re-enter the fallback ladder. Unused at single-cell stages.
     answered: std::collections::HashSet<(usize, usize)>,
     /// True once the producing stage (list page stream, or the previous
     /// filter) can no longer deliver keys.
@@ -2340,21 +1231,31 @@ struct StageState {
     drained: bool,
 }
 
-/// One discovered key of a step: its identity, whether it has survived
-/// every filter verdict so far, and its materialising row.
+/// One discovered key of a step (its text is `StepRun::keys[slot]`):
+/// whether it has survived every filter verdict so far, and its
+/// materialising row (empty until the first fetched value lands — keys
+/// that die in a filter never build one; see [`key_row`]).
 #[derive(Debug)]
 struct KeySlot {
-    key: String,
     alive: bool,
     row: Vec<Value>,
 }
 
 /// Speculative list-paging state of one cold-concept step (store on):
 /// offset pages in flight, their buffered answers, and the widening wave
-/// ramp. See [`Galois::scan_keys_speculative`] for the protocol — the
-/// stream version fires the same pages at the same iteration budget, with
-/// a wave barrier (the next wave fires only when the current one has
-/// fully landed) so stream and wave mode count iterations identically.
+/// ramp.
+///
+/// Page 1 is the classic first list prompt — identical string, so it
+/// shares the prompt cache with store-off runs. Its raw value count is
+/// the page-size estimate `P`; later pages are requested as
+/// [`TaskIntent::ListKeysPage`] at offsets `P, 2P, …` in waves whose width
+/// doubles up to the lane count (the probe wave is one page wide — the
+/// estimate may be the whole universe). Under either trigger a wave
+/// applies, in offset order, only once it has fully landed; the first
+/// exhausted page, short page or page with nothing new ends the universe
+/// (pages fired past it are counted waste — speculation buys latency with
+/// at most a ramp-width of extra prompts, never accuracy). Hitting the
+/// iteration cap leaves a partial frontier.
 #[derive(Debug)]
 struct SpecState {
     /// Raw value count of page 1 — the offset stride.
@@ -2382,18 +1283,20 @@ impl SpecState {
     }
 }
 
-/// Per-step dataflow state of the streaming simulation.
+/// Per-step state of the retrieval dataflow.
 struct StepRun<'a> {
     step: &'a LlmScanStep,
-    /// Exclusion list rendered into each list iteration's prompt (shared
-    /// behind an `Arc`, exactly like the wave scan).
-    exclude: Arc<Vec<String>>,
+    /// Discovered keys in discovery order — slot `i`'s key is `keys[i]`.
+    /// Doubles as the exclusion list rendered into each list iteration's
+    /// prompt (behind an `Arc`, so rendering an iteration shares rather
+    /// than re-clones every seen key).
+    keys: Arc<Vec<String>>,
     /// Case-folded dedup of discovered keys.
     seen: std::collections::HashSet<String>,
     /// List iterations fired so far.
     iterations: usize,
-    /// Key slots in discovery order — rows materialise in this order, so
-    /// streaming reproduces the wave pipeline's row order exactly.
+    /// Key slots in discovery order — rows materialise in this order
+    /// under either trigger.
     slots: Vec<KeySlot>,
     /// Filter stages (in conjunction order) followed by fetch stages.
     stages: Vec<StageState>,
@@ -2409,11 +1312,14 @@ struct StepRun<'a> {
     list_done: bool,
     /// Speculative paging state (cold concept with the store on).
     spec: Option<SpecState>,
+    /// The step's clock under the drain trigger: the sum of its barrier
+    /// waves' lane-packed makespans.
+    wave_ms: u64,
 }
 
 /// What a fired task is: one list iteration, one speculative offset page,
-/// one multi-key micro-batch, or one single-key prompt (a batched-mode
-/// fallback re-ask, or the entire dataflow when batching is off).
+/// one multi-key chunk, or one single-key prompt (a batched-mode fallback
+/// re-ask, or every filter and fetch prompt when batching is off).
 #[derive(Debug)]
 enum FireTarget {
     List,
@@ -2479,15 +1385,22 @@ impl Ord for StreamEvent {
     }
 }
 
-/// The event-driven simulation driving one streaming query: a min-heap of
-/// completion events, an [`EventClock`] assigning fired tasks to virtual
-/// lanes, and per-step dataflow state.
+/// The retrieval dataflow of one query: per-step stage state (list
+/// stream → filter conditions → fetch cells) plus the [`Pipeline`]
+/// trigger deciding when accumulated work fires.
+///
+/// * The **streaming** trigger is an event-driven simulation: a min-heap
+///   of completion events and an [`galois_llm::EventClock`] assigning each
+///   fired prompt to a virtual lane ([`StreamSim::run_streaming`]).
+/// * The **drain** trigger runs barrier waves: a stage fires only once
+///   its upstream has fully drained, and each wave's time is its
+///   lane-packed makespan ([`StreamSim::run_drained`]).
 ///
 /// Prompts are *executed* (against the real client, inline or across the
 /// scheduler's worker threads) at fire time, because a task's virtual
 /// duration — cache hit or model latency — is only known once it has run;
-/// its parsed effects are then applied at its simulated completion time,
-/// which is what releases downstream work.
+/// its parsed effects are then applied when it completes, which is what
+/// releases downstream work.
 struct StreamSim<'a> {
     session: &'a Galois,
     scheduler: Scheduler,
@@ -2498,11 +1411,17 @@ struct StreamSim<'a> {
     acc: StepStats,
     /// Multi-key protocol on (mirrors `prompt_batch.is_on()`).
     batched: bool,
-    /// Keys per micro-batch (`B`; 1 when batching is off).
+    /// Keys per chunk (`B`; 1 when batching is off).
     fuse: usize,
+    /// The drain trigger ([`Pipeline::Off`]) rather than streaming.
+    drain: bool,
+    /// Prompts per client request under the drain trigger
+    /// ([`GaloisOptions::batch_size`]).
+    batch: usize,
     /// LIMIT window size (`n + offset`) when early stop applies: the
-    /// session enables [`EarlyStop::Limit`] *and* the residual plan is a
-    /// plain window over this (single) step's scan
+    /// session enables [`EarlyStop::Limit`] under the streaming trigger
+    /// *and* the residual plan is a plain window over this (single) step's
+    /// scan
     /// ([`crate::compile::limit_hint`]). `None` runs to exhaustion.
     limit: Option<usize>,
     /// Per-slot "survived every filter verdict" flags of the sole step
@@ -2524,6 +1443,7 @@ impl<'a> StreamSim<'a> {
         let blank_stage = |cell| StageState {
             cell,
             sig_prefixes: Vec::new(),
+            fetch_template: None,
             pending: Vec::new(),
             inflight: 0,
             answered: std::collections::HashSet::new(),
@@ -2540,15 +1460,20 @@ impl<'a> StreamSim<'a> {
                 }
                 if grid {
                     let n_cols = step.fetch.len();
-                    let mut start = 0;
-                    while start < n_cols {
+                    for start in (0..n_cols).step_by(attr_fuse) {
                         let len = attr_fuse.min(n_cols - start);
                         stages.push(blank_stage(StageCell::Grid { start, len }));
-                        start += len;
                     }
                 } else {
                     for &col in &step.fetch {
-                        stages.push(blank_stage(StageCell::Fetch { col }));
+                        stages.push(StageState {
+                            fetch_template: Some(session.prompt_builder.fetch_template(
+                                &step.table,
+                                &step.key_attr,
+                                &step.columns[col].name,
+                            )),
+                            ..blank_stage(StageCell::Fetch { col })
+                        });
                     }
                 }
                 if batched {
@@ -2567,13 +1492,13 @@ impl<'a> StreamSim<'a> {
                                     )
                                 })
                                 .collect(),
-                            cell => vec![session.cell_sig_prefix(step, &stage_cell(step, cell))],
+                            _ => vec![session.cell_sig_prefix(step, &stage_cell(step, stage, 0))],
                         };
                     }
                 }
                 StepRun {
                     step,
-                    exclude: Arc::new(Vec::new()),
+                    keys: Arc::new(Vec::new()),
                     seen: std::collections::HashSet::new(),
                     iterations: 0,
                     slots: Vec::new(),
@@ -2583,10 +1508,14 @@ impl<'a> StreamSim<'a> {
                     list_exhausted: false,
                     list_done: false,
                     spec: None,
+                    wave_ms: 0,
                 }
             })
             .collect();
-        let limit = if session.options.early_stop.is_on() {
+        let drain = !session.options.pipeline.is_streaming();
+        // Waves have no per-key release points to cancel, so early stop
+        // is inert under the drain trigger.
+        let limit = if session.options.early_stop.is_on() && !drain {
             crate::compile::limit_hint(compiled)
         } else {
             None
@@ -2601,6 +1530,8 @@ impl<'a> StreamSim<'a> {
             acc: StepStats::default(),
             batched,
             fuse: session.options.prompt_batch.keys_per_prompt(),
+            drain,
+            batch: session.options.batch_size.max(1),
             limit,
             confirmed: Vec::new(),
             confirmed_total: 0,
@@ -2636,8 +1567,57 @@ impl<'a> StreamSim<'a> {
         }
     }
 
-    /// Runs the simulation to quiescence: every step's key stream listed,
-    /// filtered, fetched and drained.
+    /// Runs the dataflow to quiescence — every step's key stream listed,
+    /// filtered, fetched and drained — under the session's trigger.
+    fn run(&mut self) {
+        if self.drain {
+            self.run_drained();
+        } else {
+            self.run_streaming();
+        }
+    }
+
+    /// The query's virtual time: the event clock's makespan when
+    /// streaming; under the drain trigger, the step clocks packed onto the
+    /// lanes (steps are independent, like one wave's units — their sum at
+    /// `Parallelism(1)`).
+    fn makespan(&self) -> u64 {
+        if self.drain {
+            let lanes = self.session.options.parallelism.get();
+            lane_schedule(self.steps.iter().map(|run| run.wave_ms), lanes)
+        } else {
+            self.clock.makespan()
+        }
+    }
+
+    /// The drain trigger ([`Pipeline::Off`]): the paper's barrier-separated
+    /// retrieval waves. Steps run one after another, so a step's published
+    /// key universe and stored sub-entries reach the next step exactly as
+    /// in a sequential run (their clocks still pack onto the lanes, see
+    /// [`StreamSim::makespan`]). A stage holds every
+    /// key delivered to it until its upstream stage has fully drained,
+    /// then cuts them into chunks at once; each round of fires is one
+    /// barrier wave ([`StreamSim::execute_wave`]), and processing the
+    /// landed wave — verdicts, values, fallback re-asks, the next list
+    /// page — yields the next round.
+    fn run_drained(&mut self) {
+        for s in 0..self.steps.len() {
+            let mut fires = Vec::new();
+            self.start_step(s, &mut fires);
+            while !fires.is_empty() {
+                let mut next = Vec::new();
+                for (target, text) in self.execute_wave(s, fires) {
+                    self.process(s, target, &text, &mut next);
+                }
+                fires = self.merge_attr_chunks(s, next);
+            }
+        }
+    }
+
+    /// The streaming trigger ([`Pipeline::Streaming`]): an event-driven
+    /// simulation in which a micro-batch fires when it reaches `B` keys,
+    /// when a lane goes idle ([`StreamSim::flush_idle`]), or at upstream
+    /// drain.
     ///
     /// Each iteration resolves one virtual instant completely — every
     /// event carrying that timestamp is processed (in creation order)
@@ -2646,7 +1626,7 @@ impl<'a> StreamSim<'a> {
     /// them. Only then does the idle-lane flush run: partial micro-batches
     /// held while lanes sit idle are pure latency, so idle capacity at the
     /// resolved instant releases them early.
-    fn run(&mut self) {
+    fn run_streaming(&mut self) {
         let mut fires = Vec::new();
         for s in 0..self.steps.len() {
             self.start_step(s, &mut fires);
@@ -2660,7 +1640,7 @@ impl<'a> StreamSim<'a> {
                     break;
                 }
                 let std::cmp::Reverse(event) = self.events.pop().expect("peeked event");
-                self.process(event, &mut fires);
+                self.process(event.step, event.target, &event.completion.text, &mut fires);
             }
             self.execute_fires(t, fires);
             self.flush_idle(t);
@@ -2694,15 +1674,16 @@ impl<'a> StreamSim<'a> {
         self.execute_fires(t, fires);
     }
 
-    /// Starts one step's key stream at `t = 0`: classic list paging when
-    /// the store is off; otherwise a warm universe is injected at zero
-    /// prompt cost (its stored iterations billed as cache hits, exactly
-    /// like the wave path), a partial frontier is injected and classic
-    /// paging resumes after it, and a cold concept lists speculatively.
+    /// Starts one step's key stream: classic list paging when the store is
+    /// off; otherwise a warm universe is injected at zero prompt cost (its
+    /// stored iterations billed as cache hits — the bill a re-listing run
+    /// would have paid in prompt-cache hits), a partial frontier is
+    /// injected and classic paging resumes after it, and a cold concept
+    /// lists speculatively.
     fn start_step(&mut self, s: usize, fires: &mut Vec<Fire>) {
         let cap = self.session.options.max_list_iterations;
         if cap == 0 {
-            self.finish_list(s, 0, fires);
+            self.finish_list(s, fires);
             return;
         }
         let looked_up = self.session.list_store.as_ref().map(|store| {
@@ -2717,20 +1698,20 @@ impl<'a> StreamSim<'a> {
         match entry {
             Some(stored) if stored.exhausted || stored.iterations >= cap => {
                 self.acc.cache_hits += stored.iterations;
-                self.absorb_stream_page(s, stored.keys, 0, fires);
+                self.absorb_stream_page(s, stored.keys, fires);
                 self.steps[s].iterations = stored.iterations;
                 self.steps[s].list_exhausted = stored.exhausted;
                 // Warm service re-publishes nothing: `concept` stays
                 // `None`, so `finish_list` skips the store.
-                self.finish_list(s, 0, fires);
+                self.finish_list(s, fires);
             }
             Some(stored) => {
                 self.acc.cache_hits += stored.iterations;
-                self.absorb_stream_page(s, stored.keys, 0, fires);
+                self.absorb_stream_page(s, stored.keys, fires);
                 self.steps[s].iterations = stored.iterations;
                 self.steps[s].concept = Some(concept);
                 if self.limit_covered() {
-                    self.finish_list(s, 0, fires);
+                    self.finish_list(s, fires);
                 } else {
                     self.fire_list(s, fires);
                 }
@@ -2779,7 +1760,6 @@ impl<'a> StreamSim<'a> {
     }
 
     fn fire_chunk(&mut self, s: usize, stage: usize, members: Vec<usize>, fires: &mut Vec<Fire>) {
-        self.steps[s].stages[stage].inflight += 1;
         let target = if self.batched {
             FireTarget::Chunk { stage, members }
         } else {
@@ -2789,16 +1769,13 @@ impl<'a> StreamSim<'a> {
                 member: members[0],
             }
         };
-        fires.push(Fire { step: s, target });
+        self.fire_at(s, stage, target, fires);
     }
 
-    /// Fires a single-key fallback re-ask for one key of a batched cell.
-    fn fire_fallback(&mut self, s: usize, stage: usize, member: usize, fires: &mut Vec<Fire>) {
+    /// Fires a task of one stage, counted in flight until it lands.
+    fn fire_at(&mut self, s: usize, stage: usize, target: FireTarget, fires: &mut Vec<Fire>) {
         self.steps[s].stages[stage].inflight += 1;
-        fires.push(Fire {
-            step: s,
-            target: FireTarget::Single { stage, member },
-        });
+        fires.push(Fire { step: s, target });
     }
 
     /// Renders the prompt of one fired task (list prompts read the
@@ -2807,12 +1784,16 @@ impl<'a> StreamSim<'a> {
     fn render_fire(&self, fire: &Fire) -> String {
         let run = &self.steps[fire.step];
         let builder = &self.session.prompt_builder;
+        let keys_of = |members: &[usize]| -> Vec<String> {
+            members.iter().map(|&i| run.keys[i].clone()).collect()
+        };
+        let cell = |stage: usize, attr: usize| stage_cell(run.step, &run.stages[stage], attr);
         match &fire.target {
             FireTarget::List => builder.task(&TaskIntent::ListKeys {
                 relation: run.step.table.clone(),
                 key_attr: run.step.key_attr.clone(),
                 condition: run.step.scan_condition.clone(),
-                exclude: Arc::clone(&run.exclude),
+                exclude: Arc::clone(&run.keys),
             }),
             FireTarget::ListPage { offset } => builder.task(&TaskIntent::ListKeysPage {
                 relation: run.step.table.clone(),
@@ -2821,114 +1802,125 @@ impl<'a> StreamSim<'a> {
                 offset: *offset,
             }),
             FireTarget::Chunk { stage, members } => {
-                let chunk_keys: Vec<String> =
-                    members.iter().map(|&i| run.slots[i].key.clone()).collect();
+                let keys = keys_of(members);
                 match run.stages[*stage].cell {
                     StageCell::Grid { start, len } => {
-                        builder.task(&self.session.grid_intent(run.step, start, len, chunk_keys))
+                        builder.task(&self.session.grid_intent(run.step, start, len, keys))
                     }
-                    cell => {
-                        let cell = stage_cell(run.step, cell);
-                        builder.task(
-                            &self
-                                .session
-                                .cell_batched_intent(run.step, &cell, chunk_keys),
-                        )
-                    }
+                    _ => builder.task(&self.session.cell_batched_intent(
+                        run.step,
+                        &cell(*stage, 0),
+                        keys,
+                    )),
                 }
-            }
-            FireTarget::Single { stage, member } => {
-                let cell = stage_cell(run.step, run.stages[*stage].cell);
-                builder.task(&self.session.cell_single_intent(
-                    run.step,
-                    &cell,
-                    &run.slots[*member].key,
-                ))
             }
             FireTarget::AttrChunk {
                 stage,
                 attr,
                 members,
-            } => {
-                let chunk_keys: Vec<String> =
-                    members.iter().map(|&i| run.slots[i].key.clone()).collect();
-                let cell = BatchCell::Fetch(grid_attr_name(run.step, &run.stages[*stage], *attr));
-                builder.task(
-                    &self
-                        .session
-                        .cell_batched_intent(run.step, &cell, chunk_keys),
-                )
+            } => builder.task(&self.session.cell_batched_intent(
+                run.step,
+                &cell(*stage, *attr),
+                keys_of(members),
+            )),
+            FireTarget::Single { stage, member } => {
+                let key = &run.keys[*member];
+                match &run.stages[*stage].fetch_template {
+                    Some(template) => template.render(key),
+                    None => builder.task(&self.session.cell_single_intent(
+                        run.step,
+                        &cell(*stage, 0),
+                        key,
+                    )),
+                }
             }
             FireTarget::GridSingle {
                 stage,
                 attr,
                 member,
-            } => {
-                let cell = BatchCell::Fetch(grid_attr_name(run.step, &run.stages[*stage], *attr));
-                builder.task(&self.session.cell_single_intent(
-                    run.step,
-                    &cell,
-                    &run.slots[*member].key,
-                ))
-            }
+            } => builder.task(&self.session.cell_single_intent(
+                run.step,
+                &cell(*stage, *attr),
+                &run.keys[*member],
+            )),
         }
     }
 
     fn fire_phase(&self, fire: &Fire) -> Phase {
-        match &fire.target {
+        match fire.target {
             FireTarget::List | FireTarget::ListPage { .. } => Phase::List,
-            FireTarget::Chunk { stage, .. } | FireTarget::Single { stage, .. } => {
-                match self.steps[fire.step].stages[*stage].cell {
-                    StageCell::Filter(_) => Phase::Filter,
-                    StageCell::Fetch { .. } | StageCell::Grid { .. } => Phase::Fetch,
-                }
+            FireTarget::Chunk { stage, .. } | FireTarget::Single { stage, .. }
+                if matches!(
+                    self.steps[fire.step].stages[stage].cell,
+                    StageCell::Filter(_)
+                ) =>
+            {
+                Phase::Filter
             }
-            FireTarget::AttrChunk { .. } | FireTarget::GridSingle { .. } => Phase::Fetch,
+            _ => Phase::Fetch,
         }
     }
 
-    /// Executes one event's fired tasks against the client (across the
-    /// real worker pool when there are several, consuming results in
-    /// completion order), then assigns each task to a virtual lane with
-    /// release time `t` — in fire order, so lane assignment is
-    /// deterministic — and pushes its completion event.
-    fn execute_fires(&mut self, t: u64, fires: Vec<Fire>) {
-        if fires.is_empty() {
-            return;
-        }
+    /// Renders `fires` and executes them as client requests — `bounds`
+    /// cuts them into runs sent as one batch each — across the worker pool
+    /// when there are several, returning the outcomes in request order. A
+    /// list prompt reads the exclusion list at render time, which is
+    /// exactly the state the firing event left behind.
+    fn run_requests(&self, fires: &[Fire], bounds: &[Range<usize>]) -> Vec<BatchOutcome> {
         let prompts: Vec<String> = fires.iter().map(|f| self.render_fire(f)).collect();
         let client = &self.session.client;
+        let units: Vec<_> = bounds
+            .iter()
+            .map(|range| {
+                let batch = &prompts[range.clone()];
+                move || client.complete_batch_outcome(batch)
+            })
+            .collect();
         let mut outcomes: Vec<Option<BatchOutcome>> = Vec::new();
-        outcomes.resize_with(prompts.len(), || None);
-        if prompts.len() == 1 {
-            outcomes[0] = Some(client.complete_outcome(&prompts[0]));
-        } else {
-            let units: Vec<_> = prompts
-                .iter()
-                .map(|prompt| move || client.complete_outcome(prompt))
-                .collect();
-            self.scheduler
-                .run_wave_streaming(units, |i, outcome| outcomes[i] = Some(outcome));
-        }
-        for (fire, outcome) in fires.into_iter().zip(outcomes) {
-            let outcome = outcome.expect("every fired task executed");
-            let phase = self.fire_phase(&fire);
-            match phase {
+        outcomes.resize_with(bounds.len(), || None);
+        self.scheduler
+            .run_wave_streaming(units, |i, outcome| outcomes[i] = Some(outcome));
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every request executed"))
+            .collect()
+    }
+
+    /// Bills one request: a prompt per fire to its phase's counter, plus
+    /// the batch counters — cache hits included, except on multi-key
+    /// protocol prompts (chunks, grid rungs, and single re-asks when
+    /// batching is on), whose key-level hits were already billed by
+    /// signature at sub-entry extraction (see [`StepStats::absorb`]).
+    fn bill(&mut self, fires: &[Fire], outcome: &BatchOutcome) {
+        for fire in fires {
+            match self.fire_phase(fire) {
                 Phase::List => self.acc.list_prompts += 1,
                 Phase::Filter => self.acc.filter_prompts += 1,
                 Phase::Fetch => self.acc.fetch_prompts += 1,
             }
-            match &fire.target {
-                // Multi-key-protocol prompts: key-level hits were
-                // already billed by signature at sub-entry extraction
-                // (see [`StepStats::absorb_keyed`]).
-                FireTarget::Chunk { .. }
-                | FireTarget::AttrChunk { .. }
-                | FireTarget::GridSingle { .. } => self.acc.absorb_keyed(&outcome),
-                FireTarget::Single { .. } if self.batched => self.acc.absorb_keyed(&outcome),
-                _ => self.acc.absorb(&outcome),
-            }
-            self.acc.charge_phase(phase, outcome.virtual_ms);
+        }
+        let keyed = match fires[0].target {
+            FireTarget::List | FireTarget::ListPage { .. } => false,
+            FireTarget::Single { .. } => self.batched,
+            _ => true,
+        };
+        self.acc.absorb(outcome, keyed);
+    }
+
+    /// Streaming trigger: executes one instant's fired tasks, one request
+    /// per prompt, then assigns each task to a virtual lane with release
+    /// time `t` — in fire order, so lane assignment is deterministic — and
+    /// pushes its completion event.
+    fn execute_fires(&mut self, t: u64, fires: Vec<Fire>) {
+        if fires.is_empty() {
+            return;
+        }
+        let bounds: Vec<Range<usize>> = (0..fires.len()).map(|i| i..i + 1).collect();
+        let outcomes = self.run_requests(&fires, &bounds);
+        for (fire, outcome) in fires.into_iter().zip(outcomes) {
+            self.bill(std::slice::from_ref(&fire), &outcome);
+            self.acc
+                .charge_phase(self.fire_phase(&fire), outcome.virtual_ms);
             let done = self.clock.schedule(t, outcome.virtual_ms);
             self.trace.push(TracedTask {
                 release: t,
@@ -2952,89 +1944,143 @@ impl<'a> StreamSim<'a> {
         }
     }
 
+    /// Drain trigger: executes one barrier wave of step `s`. Consecutive
+    /// fires of one cell share a client request of up to `batch_size`
+    /// prompts (list pages always go alone); the wave's phase and the
+    /// step clock are charged the lane-packed makespan of its requests.
+    /// Returns each fire's target with its answer, in fire order.
+    fn execute_wave(&mut self, s: usize, fires: Vec<Fire>) -> Vec<(FireTarget, String)> {
+        let mut bounds = Vec::new();
+        let mut start = 0;
+        while start < fires.len() {
+            let cell = request_cell(&fires[start].target);
+            let mut end = start + 1;
+            while end < fires.len()
+                && end - start < self.batch
+                && cell.is_some()
+                && request_cell(&fires[end].target) == cell
+            {
+                end += 1;
+            }
+            bounds.push(start..end);
+            start = end;
+        }
+        let outcomes = self.run_requests(&fires, &bounds);
+        let lanes = self.session.options.parallelism.get();
+        let ms = lane_schedule(outcomes.iter().map(|o| o.virtual_ms), lanes);
+        // A wave is one phase's work: list pages, one filter condition (or
+        // its fallbacks), or the fetch cells.
+        let phase = self.fire_phase(&fires[0]);
+        debug_assert!(fires.iter().all(|f| self.fire_phase(f) == phase));
+        self.acc.charge_phase(phase, ms);
+        self.steps[s].wave_ms += ms;
+        for (range, outcome) in bounds.into_iter().zip(&outcomes) {
+            self.bill(&fires[range], outcome);
+        }
+        let answers = outcomes
+            .into_iter()
+            .flat_map(|outcome| outcome.completions)
+            .map(|completion| completion.text);
+        fires.into_iter().map(|f| f.target).zip(answers).collect()
+    }
+
+    /// Drain trigger: the grid ladder's middle rung re-asks each attr's
+    /// failed cells from the *whole* landed wave as one key stream, cut
+    /// into `B`-key chunks — where the streaming trigger re-asks them per
+    /// landed grid chunk.
+    fn merge_attr_chunks(&mut self, s: usize, fires: Vec<Fire>) -> Vec<Fire> {
+        if !fires
+            .iter()
+            .any(|f| matches!(f.target, FireTarget::AttrChunk { .. }))
+        {
+            return fires;
+        }
+        let mut failed: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
+            std::collections::BTreeMap::new();
+        let mut out = Vec::with_capacity(fires.len());
+        for fire in fires {
+            match fire.target {
+                FireTarget::AttrChunk {
+                    stage,
+                    attr,
+                    members,
+                } => {
+                    self.steps[s].stages[stage].inflight -= 1;
+                    failed.entry((stage, attr)).or_default().extend(members);
+                }
+                target => out.push(Fire {
+                    step: fire.step,
+                    target,
+                }),
+            }
+        }
+        for ((stage, attr), members) in failed {
+            for chunk in members.chunks(self.fuse) {
+                let target = FireTarget::AttrChunk {
+                    stage,
+                    attr,
+                    members: chunk.to_vec(),
+                };
+                self.fire_at(s, stage, target, &mut out);
+            }
+        }
+        out
+    }
+
     // --- event processing --------------------------------------------
 
-    fn process(&mut self, event: StreamEvent, fires: &mut Vec<Fire>) {
-        let t = event.time;
-        let s = event.step;
-        match event.target {
-            FireTarget::List => self.process_list(s, &event.completion.text, t, fires),
+    /// Applies one landed task's answer to the step's dataflow.
+    fn process(&mut self, s: usize, target: FireTarget, text: &str, fires: &mut Vec<Fire>) {
+        match target {
+            FireTarget::List => self.process_list(s, text, fires),
             FireTarget::ListPage { offset } => {
                 let spec = self.steps[s]
                     .spec
                     .as_mut()
                     .expect("page completion outside spec mode");
                 spec.inflight -= 1;
-                spec.buffered.insert(offset, event.completion.text);
+                spec.buffered.insert(offset, text.to_string());
                 // Wave barrier: pages apply (in offset order) only once
-                // the whole wave has landed, so iteration counts match
-                // the wave pipeline exactly.
+                // the whole wave has landed, so both triggers count
+                // iterations identically.
                 if spec.inflight == 0 {
-                    self.spec_apply(s, t, fires);
+                    self.spec_apply(s, fires);
                 }
             }
             FireTarget::Chunk { stage, members } => {
                 self.steps[s].stages[stage].inflight -= 1;
-                if let StageCell::Grid { start, len } = self.steps[s].stages[stage].cell {
-                    self.process_grid_chunk(
-                        s,
-                        stage,
-                        start,
-                        len,
-                        &members,
-                        &event.completion.text,
-                        fires,
-                    );
-                    self.maybe_drain(s, stage, t, fires);
-                    return;
-                }
-                let chunk_keys: Vec<String> = members
-                    .iter()
-                    .map(|&i| self.steps[s].slots[i].key.clone())
-                    .collect();
-                let subs = split_batched_answer(&event.completion.text, &chunk_keys);
-                let mut sig = String::new();
-                for (&slot, sub) in members.iter().zip(subs) {
-                    match sub {
-                        Some(answer) => {
-                            {
-                                let run = &self.steps[s];
-                                self.session.client.store_sub_entry(
-                                    sig_for_key(
-                                        &mut sig,
-                                        &run.stages[stage].sig_prefixes[0],
-                                        &run.slots[slot].key,
-                                    ),
-                                    &answer,
-                                );
+                if let StageCell::Grid { len, .. } = self.steps[s].stages[stage].cell {
+                    self.process_grid_chunk(s, stage, len, &members, text, fires);
+                } else {
+                    for (slot, sub) in self.split_chunk(s, &members, text) {
+                        match sub {
+                            Some(answer) => {
+                                self.store_answer(s, stage, 0, slot, &answer);
+                                self.consume_answer(s, stage, slot, &answer, fires);
                             }
-                            self.consume_answer(s, stage, slot, &answer, t, fires);
+                            // The model dropped or mangled this key's line:
+                            // re-ask with the single-key prompt, chained
+                            // after this batch (batching may cost prompts,
+                            // never accuracy).
+                            None => {
+                                let target = FireTarget::Single {
+                                    stage,
+                                    member: slot,
+                                };
+                                self.fire_at(s, stage, target, fires);
+                            }
                         }
-                        // The model dropped or mangled this key's line:
-                        // re-ask with the single-key prompt, chained after
-                        // this batch (batching may cost prompts, never
-                        // accuracy).
-                        None => self.fire_fallback(s, stage, slot, fires),
                     }
                 }
-                self.maybe_drain(s, stage, t, fires);
+                self.maybe_drain(s, stage, fires);
             }
             FireTarget::Single { stage, member } => {
                 self.steps[s].stages[stage].inflight -= 1;
                 if self.batched {
-                    let mut sig = String::new();
-                    let run = &self.steps[s];
-                    self.session.client.store_sub_entry(
-                        sig_for_key(
-                            &mut sig,
-                            &run.stages[stage].sig_prefixes[0],
-                            &run.slots[member].key,
-                        ),
-                        &event.completion.text,
-                    );
+                    self.store_answer(s, stage, 0, member, text);
                 }
-                self.consume_answer(s, stage, member, &event.completion.text, t, fires);
-                self.maybe_drain(s, stage, t, fires);
+                self.consume_answer(s, stage, member, text, fires);
+                self.maybe_drain(s, stage, fires);
             }
             FireTarget::AttrChunk {
                 stage,
@@ -3042,49 +2088,25 @@ impl<'a> StreamSim<'a> {
                 members,
             } => {
                 self.steps[s].stages[stage].inflight -= 1;
-                let StageCell::Grid { start, .. } = self.steps[s].stages[stage].cell else {
-                    unreachable!("AttrChunk fires only at grid stages")
-                };
-                let chunk_keys: Vec<String> = members
-                    .iter()
-                    .map(|&i| self.steps[s].slots[i].key.clone())
-                    .collect();
-                let subs = split_batched_answer(&event.completion.text, &chunk_keys);
-                let mut sig = String::new();
-                for (&slot, sub) in members.iter().zip(subs) {
+                for (slot, sub) in self.split_chunk(s, &members, text) {
                     match sub {
                         Some(answer) => {
-                            {
-                                let run = &self.steps[s];
-                                self.session.client.store_sub_entry(
-                                    sig_for_key(
-                                        &mut sig,
-                                        &run.stages[stage].sig_prefixes[attr],
-                                        &run.slots[slot].key,
-                                    ),
-                                    &answer,
-                                );
-                            }
-                            self.steps[s].stages[stage].answered.insert((slot, attr));
-                            let col = self.steps[s].step.fetch[start + attr];
-                            self.consume_fetch_value(s, col, slot, &answer);
+                            self.store_answer(s, stage, attr, slot, &answer);
+                            self.land_grid_cell(s, stage, attr, slot, &answer);
                         }
                         // Bottom rung: one single-key prompt per failed
                         // cell.
                         None => {
-                            self.steps[s].stages[stage].inflight += 1;
-                            fires.push(Fire {
-                                step: s,
-                                target: FireTarget::GridSingle {
-                                    stage,
-                                    attr,
-                                    member: slot,
-                                },
-                            });
+                            let target = FireTarget::GridSingle {
+                                stage,
+                                attr,
+                                member: slot,
+                            };
+                            self.fire_at(s, stage, target, fires);
                         }
                     }
                 }
-                self.maybe_drain(s, stage, t, fires);
+                self.maybe_drain(s, stage, fires);
             }
             FireTarget::GridSingle {
                 stage,
@@ -3092,50 +2114,49 @@ impl<'a> StreamSim<'a> {
                 member,
             } => {
                 self.steps[s].stages[stage].inflight -= 1;
-                let StageCell::Grid { start, .. } = self.steps[s].stages[stage].cell else {
-                    unreachable!("GridSingle fires only at grid stages")
-                };
-                {
-                    let mut sig = String::new();
-                    let run = &self.steps[s];
-                    self.session.client.store_sub_entry(
-                        sig_for_key(
-                            &mut sig,
-                            &run.stages[stage].sig_prefixes[attr],
-                            &run.slots[member].key,
-                        ),
-                        &event.completion.text,
-                    );
-                }
-                self.steps[s].stages[stage].answered.insert((member, attr));
-                let col = self.steps[s].step.fetch[start + attr];
-                self.consume_fetch_value(s, col, member, &event.completion.text);
-                self.maybe_drain(s, stage, t, fires);
+                self.store_answer(s, stage, attr, member, text);
+                self.land_grid_cell(s, stage, attr, member, text);
+                self.maybe_drain(s, stage, fires);
             }
         }
+    }
+
+    /// Splits a multi-key answer into one line per member slot (`None`
+    /// where the model dropped or mangled the key's line).
+    fn split_chunk(&self, s: usize, members: &[usize], text: &str) -> Vec<(usize, Option<String>)> {
+        let keys: Vec<String> = members
+            .iter()
+            .map(|&i| self.steps[s].keys[i].clone())
+            .collect();
+        members
+            .iter()
+            .copied()
+            .zip(split_batched_answer(text, &keys))
+            .collect()
     }
 
     /// Applies one grid chunk's answer: every unanswered `(slot, attr)`
     /// cell consumes its parsed line, and each attr's failed cells re-ask
     /// together down the ladder's middle rung
     /// ([`FireTarget::AttrChunk`]).
-    #[allow(clippy::too_many_arguments)]
     fn process_grid_chunk(
         &mut self,
         s: usize,
         stage: usize,
-        start: usize,
         len: usize,
         members: &[usize],
         text: &str,
         fires: &mut Vec<Fire>,
     ) {
-        let attr_fuse = self.session.options.prompt_batch.attrs_per_prompt();
         let (chunk_keys, attr_names): (Vec<String>, Vec<String>) = {
             let run = &self.steps[s];
+            let StageCell::Grid { start, .. } = run.stages[stage].cell else {
+                unreachable!("grid chunks fire only at grid stages")
+            };
+            let attr_fuse = self.session.options.prompt_batch.attrs_per_prompt();
             let pads = grid_pad_columns(run.step, start, len, attr_fuse);
             (
-                members.iter().map(|&i| run.slots[i].key.clone()).collect(),
+                members.iter().map(|&i| run.keys[i].clone()).collect(),
                 (start..start + len)
                     .map(|ci| run.step.fetch[ci])
                     .chain(pads)
@@ -3143,96 +2164,117 @@ impl<'a> StreamSim<'a> {
                     .collect(),
             )
         };
-        let mut cells = split_grid_answer(text, &chunk_keys, &attr_names);
-        let mut sig = String::new();
+        let cells = split_grid_answer(text, &chunk_keys, &attr_names);
         let mut failed: Vec<Vec<usize>> = vec![Vec::new(); len];
-        for (ki, &slot) in members.iter().enumerate() {
-            for (ord, failed_ord) in failed.iter_mut().enumerate() {
-                if self.steps[s].stages[stage].answered.contains(&(slot, ord)) {
-                    continue;
-                }
-                match cells[ki][ord].take() {
-                    Some(answer) => {
-                        {
-                            let run = &self.steps[s];
-                            self.session.client.store_sub_entry(
-                                sig_for_key(
-                                    &mut sig,
-                                    &run.stages[stage].sig_prefixes[ord],
-                                    &run.slots[slot].key,
-                                ),
-                                &answer,
-                            );
-                        }
-                        self.steps[s].stages[stage].answered.insert((slot, ord));
-                        let col = self.steps[s].step.fetch[start + ord];
-                        self.consume_fetch_value(s, col, slot, &answer);
+        for (&slot, row) in members.iter().zip(cells) {
+            for (ord, cell) in row.into_iter().enumerate() {
+                if ord >= len {
+                    // Speculative pad cells (attr ordinals past the
+                    // group's own `len`) only seed the sub-entry store for
+                    // later queries — no row consumption, no fallback for
+                    // a dropped pad line.
+                    if let Some(answer) = cell {
+                        self.store_answer(s, stage, ord, slot, &answer);
                     }
-                    None => failed_ord.push(slot),
-                }
-            }
-            // Speculative pad cells (attr ordinals past the group's own
-            // `len`) only seed the sub-entry store for later queries —
-            // no row consumption, no fallback for a dropped pad line.
-            for (ord, cell) in cells[ki].iter_mut().enumerate().skip(len) {
-                if let Some(answer) = cell.take() {
-                    let run = &self.steps[s];
-                    self.session.client.store_sub_entry(
-                        sig_for_key(
-                            &mut sig,
-                            &run.stages[stage].sig_prefixes[ord],
-                            &run.slots[slot].key,
-                        ),
-                        &answer,
-                    );
+                } else if !self.steps[s].stages[stage].answered.contains(&(slot, ord)) {
+                    match cell {
+                        Some(answer) => {
+                            self.store_answer(s, stage, ord, slot, &answer);
+                            self.land_grid_cell(s, stage, ord, slot, &answer);
+                        }
+                        None => failed[ord].push(slot),
+                    }
                 }
             }
         }
-        for (ord, slots) in failed.into_iter().enumerate() {
-            if !slots.is_empty() {
-                self.steps[s].stages[stage].inflight += 1;
-                fires.push(Fire {
-                    step: s,
-                    target: FireTarget::AttrChunk {
-                        stage,
-                        attr: ord,
-                        members: slots,
-                    },
-                });
+        for (attr, members) in failed.into_iter().enumerate() {
+            if !members.is_empty() {
+                let target = FireTarget::AttrChunk {
+                    stage,
+                    attr,
+                    members,
+                };
+                self.fire_at(s, stage, target, fires);
             }
         }
     }
 
-    /// Applies one list iteration's answer: new keys enter the dataflow at
-    /// time `t`, and either the next iteration fires or the key stream is
-    /// finished (exhausted page, no new keys, or the iteration cap).
-    fn process_list(&mut self, s: usize, text: &str, t: u64, fires: &mut Vec<Fire>) {
+    /// Stores one cell's answer (attr ordinal `ord` of stage `g`, for the
+    /// key of `slot`) under its sub-entry signature, so later batched or
+    /// single asks of the same cell extract it.
+    fn store_answer(&self, s: usize, g: usize, ord: usize, slot: usize, answer: &str) {
+        let run = &self.steps[s];
+        let mut sig = String::new();
+        let prefix = &run.stages[g].sig_prefixes[ord];
+        self.session
+            .client
+            .store_sub_entry(sig_for_key(&mut sig, prefix, &run.keys[slot]), answer);
+    }
+
+    /// Looks one cell up in the sub-entry store, returning a stored
+    /// answer. A stored answer and an in-flight marker both bill a cache
+    /// hit; an in-flight cell is still re-asked locally — the dataflow
+    /// never parks a key waiting on another thread.
+    fn extract_answer(&mut self, s: usize, g: usize, ord: usize, slot: usize) -> Option<String> {
+        let lookup = {
+            let run = &self.steps[s];
+            let mut sig = String::new();
+            let prefix = &run.stages[g].sig_prefixes[ord];
+            self.session
+                .client
+                .extract_sub_entry(sig_for_key(&mut sig, prefix, &run.keys[slot]))
+        };
+        match lookup {
+            SubEntryLookup::Hit(answer) => {
+                self.acc.cache_hits += 1;
+                Some(answer)
+            }
+            SubEntryLookup::InFlight => {
+                self.acc.cache_hits += 1;
+                None
+            }
+            SubEntryLookup::Miss => None,
+        }
+    }
+
+    /// Lands one grid cell's answer: marked answered, and consumed into
+    /// the key's row.
+    fn land_grid_cell(&mut self, s: usize, g: usize, ord: usize, slot: usize, answer: &str) {
+        self.steps[s].stages[g].answered.insert((slot, ord));
+        let col = grid_attr_col(self.steps[s].step, &self.steps[s].stages[g], ord);
+        self.consume_fetch_value(s, col, slot, answer);
+    }
+
+    /// Applies one list iteration's answer: new keys enter the dataflow,
+    /// and either the next iteration fires or the key stream is finished
+    /// (exhausted page, no new keys, or the iteration cap).
+    fn process_list(&mut self, s: usize, text: &str, fires: &mut Vec<Fire>) {
         if is_fault_text(text) {
             // A degraded list page ends the key stream *resumably*:
             // `list_exhausted` stays false, so the published universe is a
             // partial frontier a later query resumes — never a poisoned
             // "complete" listing.
             self.acc.failed_cells += 1;
-            self.finish_list(s, t, fires);
+            self.finish_list(s, fires);
             return;
         }
         match parse_list_answer(text) {
             ListAnswer::Exhausted => {
                 self.steps[s].list_exhausted = true;
-                self.finish_list(s, t, fires);
+                self.finish_list(s, fires);
             }
             ListAnswer::Values(values) => {
                 let raw = values.len();
-                let added = self.absorb_stream_page(s, values, t, fires);
+                let added = self.absorb_stream_page(s, values, fires);
                 if added == 0 {
                     self.steps[s].list_exhausted = true;
-                    self.finish_list(s, t, fires);
+                    self.finish_list(s, fires);
                     return;
                 }
                 // LIMIT early stop: the window is covered by confirmed
                 // survivors, so no further page can change the result.
                 if self.limit_covered() {
-                    self.finish_list(s, t, fires);
+                    self.finish_list(s, fires);
                     return;
                 }
                 // Speculative mode: page 1 just landed — its raw value
@@ -3244,71 +2286,59 @@ impl<'a> StreamSim<'a> {
                     if self.steps[s].iterations < self.session.options.max_list_iterations {
                         self.fire_spec_wave(s, fires);
                     } else {
-                        self.finish_list(s, t, fires);
+                        self.finish_list(s, fires);
                     }
                     return;
                 }
                 if self.steps[s].iterations < self.session.options.max_list_iterations {
                     self.fire_list(s, fires);
                 } else {
-                    self.finish_list(s, t, fires);
+                    self.finish_list(s, fires);
                 }
             }
         }
     }
 
     /// Folds one page of raw key surfaces into the step's stream (clean,
-    /// case-folded dedup, key slot, dataflow entry at `t` — identical to
-    /// classic page handling), returning how many new keys entered.
+    /// case-folded dedup, key slot, dataflow entry), returning how many
+    /// new keys entered.
     fn absorb_stream_page(
         &mut self,
         s: usize,
         values: Vec<String>,
-        t: u64,
         fires: &mut Vec<Fire>,
     ) -> usize {
-        let session = self.session;
         let mut new_slots = Vec::new();
         {
             let run = &mut self.steps[s];
-            let arity = run.step.columns.len();
-            let fresh = Arc::make_mut(&mut run.exclude);
+            let keys = Arc::make_mut(&mut run.keys);
             for v in values {
                 let cleaned = normalise_text(&v);
                 if cleaned.is_empty() {
                     continue;
                 }
                 if run.seen.insert(cleaned.to_ascii_lowercase()) {
-                    fresh.push(cleaned.clone());
-                    let mut row = vec![Value::Null; arity];
-                    row[run.step.key_index] = clean_to_type(
-                        &cleaned,
-                        run.step.columns[run.step.key_index].data_type,
-                        &session.options.cleaning,
-                    )
-                    .unwrap_or(Value::Null);
-                    new_slots.push(run.slots.len());
+                    new_slots.push(keys.len());
+                    keys.push(cleaned);
                     run.slots.push(KeySlot {
-                        key: cleaned,
                         alive: true,
-                        row,
+                        row: Vec::new(),
                     });
                 }
             }
         }
         for &slot in &new_slots {
-            self.enter_dataflow(s, slot, t, fires);
+            self.enter_dataflow(s, slot, fires);
         }
         new_slots.len()
     }
 
     /// Applies a fully-landed speculative wave in offset order: each page
-    /// feeds the dataflow at `t`; the first exhausted page, short page or
-    /// page with nothing new ends the universe (pages fired past it are
-    /// waste — already billed as iterations, exactly like the wave
-    /// pipeline). Otherwise the next wave fires, or the iteration cap
-    /// leaves a partial frontier.
-    fn spec_apply(&mut self, s: usize, t: u64, fires: &mut Vec<Fire>) {
+    /// feeds the dataflow; the first exhausted page, short page or page
+    /// with nothing new ends the universe (pages fired past it are waste,
+    /// already billed as iterations). Otherwise the next wave fires, or
+    /// the iteration cap leaves a partial frontier.
+    fn spec_apply(&mut self, s: usize, fires: &mut Vec<Fire>) {
         let pages: Vec<(usize, String)> = {
             let spec = self.steps[s].spec.as_mut().expect("spec wave landed");
             std::mem::take(&mut spec.buffered).into_iter().collect()
@@ -3330,7 +2360,7 @@ impl<'a> StreamSim<'a> {
                 ListAnswer::Exhausted => terminal = true,
                 ListAnswer::Values(values) => {
                     let raw = values.len();
-                    let added = self.absorb_stream_page(s, values, t, fires);
+                    let added = self.absorb_stream_page(s, values, fires);
                     let page_est = self.steps[s].spec.as_ref().expect("spec mode").page_est;
                     if added == 0 || raw < page_est {
                         terminal = true;
@@ -3340,12 +2370,12 @@ impl<'a> StreamSim<'a> {
         }
         if terminal {
             self.steps[s].list_exhausted = true;
-            self.finish_list(s, t, fires);
+            self.finish_list(s, fires);
         } else if faulted
             || self.steps[s].iterations >= self.session.options.max_list_iterations
             || self.limit_covered()
         {
-            self.finish_list(s, t, fires);
+            self.finish_list(s, fires);
         } else {
             self.fire_spec_wave(s, fires);
         }
@@ -3353,7 +2383,7 @@ impl<'a> StreamSim<'a> {
 
     /// Routes a freshly-listed key into the first stage of the step's
     /// dataflow (first filter condition; fetch stages when there is none).
-    fn enter_dataflow(&mut self, s: usize, slot: usize, t: u64, fires: &mut Vec<Fire>) {
+    fn enter_dataflow(&mut self, s: usize, slot: usize, fires: &mut Vec<Fire>) {
         if let Some(n) = self.limit {
             if self.prefix_confirmed(slot) >= n {
                 // The window is already covered by earlier confirmed
@@ -3364,13 +2394,13 @@ impl<'a> StreamSim<'a> {
             }
         }
         if self.steps[s].n_filters > 0 {
-            self.deliver(s, 0, slot, t, fires);
+            self.deliver(s, 0, slot, fires);
         } else {
             if self.limit.is_some() {
                 self.confirm_survivor(slot);
             }
             for g in 0..self.steps[s].stages.len() {
-                self.deliver(s, g, slot, t, fires);
+                self.deliver(s, g, slot, fires);
             }
         }
     }
@@ -3378,10 +2408,10 @@ impl<'a> StreamSim<'a> {
     /// Routes a key that survived filter stage `g` downstream: into the
     /// next condition, or — past the last condition — fanning out into
     /// every fetch stage.
-    fn route_survivor(&mut self, s: usize, g: usize, slot: usize, t: u64, fires: &mut Vec<Fire>) {
+    fn route_survivor(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) {
         let n_filters = self.steps[s].n_filters;
         if g + 1 < n_filters {
-            self.deliver(s, g + 1, slot, t, fires);
+            self.deliver(s, g + 1, slot, fires);
         } else {
             if let Some(n) = self.limit {
                 self.confirm_survivor(slot);
@@ -3393,114 +2423,67 @@ impl<'a> StreamSim<'a> {
                 }
             }
             for fg in n_filters..self.steps[s].stages.len() {
-                self.deliver(s, fg, slot, t, fires);
+                self.deliver(s, fg, slot, fires);
             }
         }
     }
 
-    /// A key arrives at a stage at time `t`: sub-entry extraction first
-    /// (batched mode), otherwise into the accumulator — which fires the
-    /// moment it holds a full micro-batch.
-    fn deliver(&mut self, s: usize, g: usize, slot: usize, t: u64, fires: &mut Vec<Fire>) {
-        if let StageCell::Grid { start, len } = self.steps[s].stages[g].cell {
-            return self.deliver_grid(s, g, start, len, slot, fires);
-        }
-        if self.batched {
-            let extracted = {
-                let run = &self.steps[s];
-                let mut sig = String::new();
-                self.session.client.extract_sub_entry(sig_for_key(
-                    &mut sig,
-                    &run.stages[g].sig_prefixes[0],
-                    &run.slots[slot].key,
-                ))
-            };
-            match extracted {
-                SubEntryLookup::Hit(answer) => {
-                    self.acc.cache_hits += 1;
-                    self.consume_answer(s, g, slot, &answer, t, fires);
-                    return;
+    /// A key arrives at a stage: sub-entry extraction first (batched
+    /// mode), otherwise into the accumulator ([`StreamSim::accumulate`]).
+    ///
+    /// At a grid stage every cell of the attr-group runs extraction, and
+    /// the key joins the group's accumulator when *any* cell is still
+    /// missing (already-answered cells are skipped at parse time — grid
+    /// prompts always ask the whole group, so their strings stay
+    /// chunk-membership-deterministic).
+    fn deliver(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) {
+        if let StageCell::Grid { len, .. } = self.steps[s].stages[g].cell {
+            let mut missing = false;
+            for ord in 0..len {
+                if self.steps[s].stages[g].answered.contains(&(slot, ord)) {
+                    continue;
                 }
-                // Counted as a hit, but re-asked locally — the sim loop
-                // must never park a key waiting on another thread.
-                SubEntryLookup::InFlight => self.acc.cache_hits += 1,
-                SubEntryLookup::Miss => {}
-            }
-        }
-        let fuse = self.fuse;
-        let stage = &mut self.steps[s].stages[g];
-        stage.pending.push(slot);
-        if stage.pending.len() >= fuse {
-            let members = std::mem::take(&mut stage.pending);
-            self.fire_chunk(s, g, members, fires);
-        }
-    }
-
-    /// A key arrives at a grid stage: every cell of the attr-group runs
-    /// sub-entry extraction, and the key joins the group's accumulator
-    /// when *any* cell is still missing (already-answered cells are
-    /// skipped at parse time — grid prompts always ask the whole group,
-    /// so their strings stay chunk-membership-deterministic).
-    fn deliver_grid(
-        &mut self,
-        s: usize,
-        g: usize,
-        start: usize,
-        len: usize,
-        slot: usize,
-        fires: &mut Vec<Fire>,
-    ) {
-        let mut missing = false;
-        for ord in 0..len {
-            if self.steps[s].stages[g].answered.contains(&(slot, ord)) {
-                continue;
-            }
-            let extracted = {
-                let run = &self.steps[s];
-                let mut sig = String::new();
-                self.session.client.extract_sub_entry(sig_for_key(
-                    &mut sig,
-                    &run.stages[g].sig_prefixes[ord],
-                    &run.slots[slot].key,
-                ))
-            };
-            match extracted {
-                SubEntryLookup::Hit(answer) => {
-                    self.acc.cache_hits += 1;
-                    self.steps[s].stages[g].answered.insert((slot, ord));
-                    let col = self.steps[s].step.fetch[start + ord];
-                    self.consume_fetch_value(s, col, slot, &answer);
+                match self.extract_answer(s, g, ord, slot) {
+                    Some(answer) => self.land_grid_cell(s, g, ord, slot, &answer),
+                    None => missing = true,
                 }
-                SubEntryLookup::InFlight => {
-                    self.acc.cache_hits += 1;
-                    missing = true;
-                }
-                SubEntryLookup::Miss => missing = true,
             }
-        }
-        if !missing {
+            if missing {
+                self.accumulate(s, g, slot, fires);
+            }
             return;
         }
-        let fuse = self.fuse;
+        if self.batched {
+            if let Some(answer) = self.extract_answer(s, g, 0, slot) {
+                self.consume_answer(s, g, slot, &answer, fires);
+                return;
+            }
+        }
+        self.accumulate(s, g, slot, fires);
+    }
+
+    /// Adds a key to a stage's accumulator. The streaming trigger fires a
+    /// micro-batch the moment it holds `B` keys; the drain trigger holds
+    /// every key until upstream drains.
+    fn accumulate(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) {
         let stage = &mut self.steps[s].stages[g];
         stage.pending.push(slot);
-        if stage.pending.len() >= fuse {
+        if !self.drain && stage.pending.len() >= self.fuse {
             let members = std::mem::take(&mut stage.pending);
             self.fire_chunk(s, g, members, fires);
         }
     }
 
     /// Applies one key's answer at a stage: a filter verdict routes the
-    /// key onward or kills it (an unparseable verdict keeps the tuple out,
-    /// exactly like the wave pipeline); a fetch answer lands in the key's
-    /// row.
+    /// key onward or kills it (an unparseable verdict keeps the tuple out:
+    /// the predicate did not evaluate to TRUE); a fetch answer lands in
+    /// the key's row.
     fn consume_answer(
         &mut self,
         s: usize,
         g: usize,
         slot: usize,
         answer: &str,
-        t: u64,
         fires: &mut Vec<Fire>,
     ) {
         match self.steps[s].stages[g].cell {
@@ -3511,7 +2494,7 @@ impl<'a> StreamSim<'a> {
                     self.acc.failed_cells += 1;
                     self.steps[s].slots[slot].alive = false;
                 } else if parse_boolean_answer(answer).unwrap_or(false) {
-                    self.route_survivor(s, g, slot, t, fires);
+                    self.route_survivor(s, g, slot, fires);
                 } else {
                     self.steps[s].slots[slot].alive = false;
                 }
@@ -3526,18 +2509,15 @@ impl<'a> StreamSim<'a> {
     /// Lands one fetch answer in a key's materialising row (shared by the
     /// per-column and grid stages).
     fn consume_fetch_value(&mut self, s: usize, col: usize, slot: usize, answer: &str) {
-        if is_fault_text(answer) {
+        let cleaning = &self.session.options.cleaning;
+        let value = if is_fault_text(answer) {
             // A degraded fetch annotates the cell as Null.
             self.acc.failed_cells += 1;
-            self.steps[s].slots[slot].row[col] = Value::Null;
-            return;
-        }
-        let value = {
-            let run = &self.steps[s];
-            let column = &run.step.columns[col];
+            Value::Null
+        } else {
             parse_value_answer(answer)
                 .and_then(|raw| {
-                    clean_to_type(&raw, column.data_type, &self.session.options.cleaning)
+                    clean_to_type(&raw, self.steps[s].step.columns[col].data_type, cleaning)
                 })
                 .map(|v| match v {
                     Value::Text(x) => Value::Text(normalise_text(&x)),
@@ -3545,7 +2525,12 @@ impl<'a> StreamSim<'a> {
                 })
                 .unwrap_or(Value::Null)
         };
-        self.steps[s].slots[slot].row[col] = value;
+        let run = &mut self.steps[s];
+        let row = &mut run.slots[slot].row;
+        if row.is_empty() {
+            *row = key_row(run.step, &run.keys[slot], cleaning);
+        }
+        row[col] = value;
     }
 
     // --- drain propagation -------------------------------------------
@@ -3554,7 +2539,7 @@ impl<'a> StreamSim<'a> {
     /// keys, so the universe publishes to the key-universe store (when one
     /// is attached and the universe wasn't served warm), the first stages'
     /// accumulators flush and drain propagation begins.
-    fn finish_list(&mut self, s: usize, t: u64, fires: &mut Vec<Fire>) {
+    fn finish_list(&mut self, s: usize, fires: &mut Vec<Fire>) {
         if !self.steps[s].list_done {
             self.steps[s].list_done = true;
             if let Some(concept) = self.steps[s].concept.take() {
@@ -3564,7 +2549,7 @@ impl<'a> StreamSim<'a> {
                         &concept,
                         &self.session.model_sig,
                         KeyUniverse {
-                            keys: (*run.exclude).clone(),
+                            keys: (*run.keys).clone(),
                             iterations: run.iterations,
                             exhausted: run.list_exhausted,
                         },
@@ -3573,29 +2558,42 @@ impl<'a> StreamSim<'a> {
             }
         }
         if self.steps[s].n_filters > 0 {
-            self.stage_upstream_drained(s, 0, t, fires);
+            self.stage_upstream_drained(s, 0, fires);
         } else {
             for g in 0..self.steps[s].stages.len() {
-                self.stage_upstream_drained(s, g, t, fires);
+                self.stage_upstream_drained(s, g, fires);
             }
         }
     }
 
-    /// The stage's producer can deliver no further keys: flush the partial
-    /// micro-batch (the "lane would idle forever" trigger) and drain if
-    /// nothing is left in flight.
-    fn stage_upstream_drained(&mut self, s: usize, g: usize, t: u64, fires: &mut Vec<Fire>) {
+    /// The stage's producer can deliver no further keys: fire what the
+    /// accumulator holds — the streaming trigger's partial micro-batch, or
+    /// the drain trigger's whole key set cut into `B`-key chunks — and
+    /// drain if nothing is left in flight.
+    fn stage_upstream_drained(&mut self, s: usize, g: usize, fires: &mut Vec<Fire>) {
         self.steps[s].stages[g].upstream_drained = true;
-        if !self.steps[s].stages[g].pending.is_empty() {
-            let members = std::mem::take(&mut self.steps[s].stages[g].pending);
-            self.fire_chunk(s, g, members, fires);
+        let mut members = std::mem::take(&mut self.steps[s].stages[g].pending);
+        if self.drain {
+            // Survivors land in verdict order (fallback re-asks last); the
+            // wave chunks them in discovery order.
+            members.sort_unstable();
         }
-        self.maybe_drain(s, g, t, fires);
+        if self.batched {
+            for chunk in members.chunks(self.fuse) {
+                self.fire_chunk(s, g, chunk.to_vec(), fires);
+            }
+        } else {
+            fires.reserve(members.len());
+            for member in members {
+                self.fire_at(s, g, FireTarget::Single { stage: g, member }, fires);
+            }
+        }
+        self.maybe_drain(s, g, fires);
     }
 
     /// Marks a stage drained once its upstream is finished and its own
     /// work has all landed, then propagates downstream.
-    fn maybe_drain(&mut self, s: usize, g: usize, t: u64, fires: &mut Vec<Fire>) {
+    fn maybe_drain(&mut self, s: usize, g: usize, fires: &mut Vec<Fire>) {
         {
             let stage = &self.steps[s].stages[g];
             if stage.drained
@@ -3609,33 +2607,49 @@ impl<'a> StreamSim<'a> {
         self.steps[s].stages[g].drained = true;
         let n_filters = self.steps[s].n_filters;
         if g + 1 < n_filters {
-            self.stage_upstream_drained(s, g + 1, t, fires);
+            self.stage_upstream_drained(s, g + 1, fires);
         } else if g < n_filters {
             for fg in n_filters..self.steps[s].stages.len() {
-                self.stage_upstream_drained(s, fg, t, fires);
+                self.stage_upstream_drained(s, fg, fires);
             }
         }
         // Fetch stages are the dataflow's sinks: nothing downstream.
     }
 }
 
-/// Reconstructs the borrowed cell form from a stage's indices.
-fn stage_cell(step: &LlmScanStep, cell: StageCell) -> BatchCell<'_> {
-    match cell {
+/// The borrowed cell form of a stage's prompt: its filter condition or
+/// fetched column, or — at a grid stage — the column of attr ordinal
+/// `attr` (ignored elsewhere).
+fn stage_cell<'a>(step: &'a LlmScanStep, stage: &StageState, attr: usize) -> BatchCell<'a> {
+    match stage.cell {
         StageCell::Filter(i) => BatchCell::Filter(&step.filter_conditions[i]),
         StageCell::Fetch { col } => BatchCell::Fetch(&step.columns[col].name),
         StageCell::Grid { .. } => {
-            unreachable!("grid stages render through their grid-aware call sites")
+            BatchCell::Fetch(&step.columns[grid_attr_col(step, stage, attr)].name)
         }
     }
 }
 
-/// The column name of one attr ordinal of a grid stage.
-fn grid_attr_name<'a>(step: &'a LlmScanStep, stage: &StageState, attr: usize) -> &'a str {
+/// The cell whose fires may share one client request under the drain
+/// trigger: `(stage, attr ordinal)`, or `None` for list pages, which
+/// always go alone.
+fn request_cell(target: &FireTarget) -> Option<(usize, usize)> {
+    match *target {
+        FireTarget::List | FireTarget::ListPage { .. } => None,
+        FireTarget::Chunk { stage, .. } | FireTarget::Single { stage, .. } => Some((stage, 0)),
+        FireTarget::AttrChunk { stage, attr, .. } | FireTarget::GridSingle { stage, attr, .. } => {
+            Some((stage, attr))
+        }
+    }
+}
+
+/// The column (index into `step.columns`) of one attr ordinal of a grid
+/// stage.
+fn grid_attr_col(step: &LlmScanStep, stage: &StageState, attr: usize) -> usize {
     let StageCell::Grid { start, .. } = stage.cell else {
         unreachable!("attr ordinals exist only at grid stages")
     };
-    &step.columns[step.fetch[start + attr]].name
+    step.fetch[start + attr]
 }
 
 /// Speculative fill of a grid attr-group's spare width: when the group is

@@ -854,7 +854,7 @@ mod tests {
         assert_eq!(a.average_cardinality_diff(), b.average_cardinality_diff());
         let at = suite_totals(&a, lanes);
         let bt = suite_totals(&b, lanes);
-        // Streaming issues exactly the wave pipeline's prompts …
+        // Streaming issues exactly the drain trigger's prompts …
         assert_eq!(at.prompts, bt.prompts);
         assert_eq!(at.cache_hits, bt.cache_hits);
         // … but stops idling at the phase barriers.

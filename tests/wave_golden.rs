@@ -14,10 +14,10 @@
 //!   profile, and `common::LineDropper` (which drives the batched fallback
 //!   rungs), both suites at lanes {1, 8}.
 //!
-//! The fixture was recorded from the barrier-wave engine that `Pipeline::Off`
-//! used to run on, so it pins that engine's prompts, cache hits, clocks and
-//! rows as the drain trigger's contract. Regenerate it (only when a change
-//! is *meant* to move these numbers) with
+//! The numbers are the paper-faithful barrier-wave pipeline's prompts,
+//! cache hits, clocks and rows, which the drain trigger must reproduce
+//! exactly. Regenerate the fixture (only when a change is *meant* to move
+//! these numbers) with
 //!
 //! ```text
 //! cargo test --release --test wave_golden -- --ignored

@@ -16,7 +16,7 @@
 use galois_bench::{cost_planned_options, lanes_from_args, model_from_args, seed_from_args};
 use galois_core::{GaloisOptions, PromptBatch};
 use galois_dataset::Scenario;
-use galois_eval::{run_galois_suite_parallel, suite_totals, TextTable};
+use galois_eval::{run_galois_suite, suite_totals, TextTable};
 
 fn main() {
     let seed = seed_from_args();
@@ -50,7 +50,7 @@ fn main() {
             prompt_batch,
             ..cost_planned_options(lanes)
         };
-        let run = run_galois_suite_parallel(&scenario, profile.clone(), options, lanes);
+        let run = run_galois_suite(&scenario, profile.clone(), options);
         let totals = suite_totals(&run, lanes);
         t.row(vec![
             label.to_string(),

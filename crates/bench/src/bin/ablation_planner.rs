@@ -14,7 +14,7 @@
 use galois_bench::{cost_planned_options, lanes_from_args, model_from_args, seed_from_args};
 use galois_core::{GaloisOptions, Planner};
 use galois_dataset::Scenario;
-use galois_eval::{run_galois_suite_parallel, suite_totals, TextTable};
+use galois_eval::{run_galois_suite, suite_totals, TextTable};
 
 fn main() {
     let seed = seed_from_args();
@@ -45,7 +45,7 @@ fn main() {
             planner,
             ..cost_planned_options(k)
         };
-        let run = run_galois_suite_parallel(&scenario, profile.clone(), options, k);
+        let run = run_galois_suite(&scenario, profile.clone(), options);
         let totals = suite_totals(&run, k);
         t.row(vec![
             label.to_string(),

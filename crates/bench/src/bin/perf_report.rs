@@ -1,14 +1,14 @@
 //! Emits `BENCH_e2e.json`: end-to-end prompt/latency accounting for the
-//! 46-query oracle suite, before and after the concurrent prompt
-//! scheduler.
+//! 46-query oracle suite, from the sequential paper pipeline through each
+//! engine optimisation.
 //!
 //! Methods reported:
 //!
-//! * `galois_sequential` — `Parallelism(1)`, one harness thread: the
-//!   pre-scheduler numbers (`virtual_ms == serial_virtual_ms`);
-//! * `galois_scheduled` — `Parallelism(K)` request lanes inside every
-//!   query *and* `K` concurrent query streams across the suite, with the
-//!   default heuristic planner;
+//! * `galois_sequential` — `Parallelism(1)`: the paper-faithful
+//!   sequential numbers (`virtual_ms == serial_virtual_ms`);
+//! * `galois_scheduled` — `Parallelism(K)` virtual request lanes inside
+//!   every query, with the suite's per-query clocks packed onto `K`
+//!   virtual query streams, and the default heuristic planner;
 //! * `galois_cost_planner` — same concurrency, but plans chosen by the
 //!   cost-based prompt-aware planner (`Planner::CostBased`): identical
 //!   relations, fewer prompts, lower virtual time;
@@ -25,15 +25,7 @@
 //!   (`ListStore::On`), run as **two suite passes on one session**: the
 //!   cold pass pages every concept's key universe (speculatively, across
 //!   the lanes) and stores it; the warm pass reads every universe back at
-//!   zero list-prompt cost, collapsing the list-phase virtual floor. The
-//!   cold pass runs on **one harness thread** so its row is exactly
-//!   reproducible — with `K` query threads its prompt total wobbled a few
-//!   prompts between runs (racing queries re-ask in-flight keys), which
-//!   made the row disagree with the 1-thread `listcached_parity` object
-//!   (e.g. 182 vs 174). The method row and the parity object are now the
-//!   same measurement, and the method row is the authoritative one; the
-//!   warm pass still runs across `K` streams (deterministic regardless —
-//!   everything is cached);
+//!   zero list-prompt cost, collapsing the list-phase virtual floor;
 //! * `galois_grid_fused` — the listcached-cold configuration with
 //!   `PromptBatch::Grid { keys: B, attrs: A }` (default `A = 6`, wide
 //!   enough to cover every table's non-key width; `--grid-keys` overrides
@@ -41,8 +33,7 @@
 //!   for up to `B` keys, cutting the fetch phase from `C × ⌈keys/B⌉` to
 //!   `⌈C/A⌉ × ⌈keys/B⌉` prompts per step, and speculative pad columns
 //!   seed the sub-entry store so later queries on the same table fetch
-//!   at zero prompt cost. One harness thread keeps the row exactly
-//!   reproducible;
+//!   at zero prompt cost;
 //! * `galois_limit_streaming` / `galois_limit_unlimited` — the operator
 //!   suite's LIMIT family over a widened world (a 120-key `city` concept,
 //!   10-key list pages) through the streaming grid-fused stack. The
@@ -51,8 +42,7 @@
 //!   paging is cancelled and the remaining filter/fetch micro-batches are
 //!   pruned. The `limit_unlimited` row runs the same queries' *unlimited*
 //!   forms on the same stack — the prompt gap is what LIMIT-aware early
-//!   termination buys. One harness thread keeps both rows exactly
-//!   reproducible;
+//!   termination buys;
 //! * `galois_faulty_retry` — the sequential configuration re-run over a
 //!   [`FaultyLlm`]-wrapped oracle failing ~20 % of all prompts
 //!   (deterministically; truncated faults excluded so every fault is
@@ -60,8 +50,7 @@
 //!   The retry budget dominates the injector's consecutive-failure cap,
 //!   so the row must tie `galois_sequential` **exactly** on prompts (net
 //!   of retries) and cache hits — CI asserts this — while its virtual
-//!   clock carries the billed retry/backoff overhead. One harness thread
-//!   keeps the row exactly reproducible;
+//!   clock carries the billed retry/backoff overhead;
 //! * `galois_multiquery` — the grid-fused stack replayed at `--sessions`
 //!   (default 16) concurrent closed-loop sessions over one **shared lane
 //!   pool** (`sessions × K` lanes) through the cross-query scheduler,
@@ -76,7 +65,7 @@
 //!   it alone carries `sessions` / `pool_lanes` / `p50_latency_ms` /
 //!   `p99_latency_ms` / `lane_utilisation` fields;
 //! * `qa_baseline` / `qa_cot_baseline` — the paper's `T_M` and `T_C_M`
-//!   one-prompt-per-question methods, across `K` streams.
+//!   one-prompt-per-question methods, packed onto `K` virtual streams.
 //!
 //! Every Galois row also carries a per-phase virtual-time breakdown
 //! (`list_virtual_ms` / `filter_virtual_ms` / `fetch_virtual_ms`) so the
@@ -84,22 +73,12 @@
 //!
 //! Method rows share one uniform schema (see `crates/bench/README.md`):
 //! `parallelism` is always the session's request-lane count `K` from the
-//! row's `GaloisOptions`, `threads` is always the harness worker-thread
-//! count the suite was driven with, and `queue_ms` (admission-queue
-//! delay) is present on every row — zero everywhere except
-//! `galois_multiquery`.
+//! row's `GaloisOptions`, and `queue_ms` (admission-queue delay) is
+//! present on every row — zero everywhere except `galois_multiquery`.
 //!
-//! The `pipeline_parity` object holds the batched-vs-pipelined
-//! prompt/cache-hit comparison re-run on **one** harness thread. With `K`
-//! real query threads, concurrently-running queries race on the shared
-//! per-key sub-entry store: `cache_hits` are counted by signature (never
-//! by arrival order) and so stay deterministic, but a racing query
-//! re-asks in-flight keys, so the main rows' *prompt* totals can still
-//! wobble by a few prompts between runs — the single-threaded pair is
-//! exactly reproducible on every field, which is what CI asserts equality
-//! on. The `listcached_parity` object plays the same role for the
-//! `K`-thread listcached rows: the same cold/warm passes re-run on one
-//! harness thread (a fresh store session).
+//! Every row is driven on the calling thread, queries in suite order, so
+//! the whole report is a deterministic function of the seed and flags:
+//! two runs agree on every field except `wall_ms`.
 //!
 //! Usage: `perf_report [--seed 42] [--parallelism 8] [--batch 10]
 //! [--grid-attrs 6] [--grid-keys 10] [--sessions 16] [--inflight 14]
@@ -116,8 +95,8 @@ use galois_core::{
 };
 use galois_dataset::Scenario;
 use galois_eval::{
-    model_for, run_baseline_suite_parallel, run_galois_suite_on, run_galois_suite_parallel,
-    run_suite_concurrent, suite_totals, BaselineRun, ConcurrentSuiteRun, SuiteTotals,
+    model_for, run_baseline_suite, run_galois_suite, run_galois_suite_on, run_suite_concurrent,
+    suite_totals, BaselineRun, ConcurrentSuiteRun, SuiteTotals,
 };
 use galois_llm::{lane_schedule, FaultyLlm, ModelProfile};
 
@@ -127,7 +106,6 @@ use galois_llm::{lane_schedule, FaultyLlm, ModelProfile};
 struct MethodReport {
     name: &'static str,
     parallelism: usize,
-    threads: usize,
     totals: SuiteTotals,
     extra: String,
 }
@@ -135,16 +113,10 @@ struct MethodReport {
 impl MethodReport {
     /// A row whose `parallelism` is derived from the options the run
     /// actually used — the one place the metadata convention lives.
-    fn of(
-        name: &'static str,
-        options: &GaloisOptions,
-        threads: usize,
-        totals: SuiteTotals,
-    ) -> Self {
+    fn of(name: &'static str, options: &GaloisOptions, totals: SuiteTotals) -> Self {
         MethodReport {
             name,
             parallelism: options.parallelism.get(),
-            threads,
             totals,
             extra: String::new(),
         }
@@ -154,13 +126,12 @@ impl MethodReport {
         // Phase keys stay flat (no nested object) so line-oriented drift
         // checks keep matching one brace pair per method row.
         format!(
-            "    \"{}\": {{ \"parallelism\": {}, \"threads\": {}, \"virtual_ms\": {}, \
+            "    \"{}\": {{ \"parallelism\": {}, \"virtual_ms\": {}, \
              \"serial_virtual_ms\": {}, \"wall_ms\": {}, \"prompts\": {}, \"cache_hits\": {}, \
              \"list_virtual_ms\": {}, \"filter_virtual_ms\": {}, \"fetch_virtual_ms\": {}, \
              \"queue_ms\": {}{} }}",
             self.name,
             self.parallelism,
-            self.threads,
             self.totals.virtual_ms,
             self.totals.serial_virtual_ms,
             self.totals.wall_ms,
@@ -177,7 +148,7 @@ impl MethodReport {
 
 /// The multi-query row: the uniform schema plus the shared-pool fields.
 fn multiquery_report(options: &GaloisOptions, concurrent: &ConcurrentSuiteRun) -> MethodReport {
-    let mut row = MethodReport::of("galois_multiquery", options, 1, concurrent.totals());
+    let mut row = MethodReport::of("galois_multiquery", options, concurrent.totals());
     row.extra = format!(
         ", \"sessions\": {}, \"pool_lanes\": {}, \"p50_latency_ms\": {}, \
          \"p99_latency_ms\": {}, \"lane_utilisation\": {:.3}",
@@ -219,44 +190,21 @@ fn main() {
     let scenario = Scenario::generate(seed);
 
     let sequential_options = GaloisOptions::default();
-    let sequential =
-        run_galois_suite_parallel(&scenario, bench_profile(), sequential_options.clone(), 1);
+    let sequential = run_galois_suite(&scenario, bench_profile(), sequential_options.clone());
     let scheduled_options = GaloisOptions {
         parallelism: Parallelism::new(lanes),
         ..Default::default()
     };
-    let scheduled =
-        run_galois_suite_parallel(&scenario, bench_profile(), scheduled_options.clone(), lanes);
+    let scheduled = run_galois_suite(&scenario, bench_profile(), scheduled_options.clone());
     let cost_planner_options = cost_planned_options(lanes);
-    let cost_planned = run_galois_suite_parallel(
-        &scenario,
-        bench_profile(),
-        cost_planner_options.clone(),
-        lanes,
-    );
+    let cost_planned = run_galois_suite(&scenario, bench_profile(), cost_planner_options.clone());
     let batch = parsed_flag::<usize>("--batch").unwrap_or(10).max(1);
     let batched_options = batched_stack(lanes, batch);
     let pipelined_options = pipelined_stack(lanes, batch);
-    let batched =
-        run_galois_suite_parallel(&scenario, bench_profile(), batched_options.clone(), lanes);
-    let pipelined =
-        run_galois_suite_parallel(&scenario, bench_profile(), pipelined_options.clone(), lanes);
-    // The parity pair re-runs both configurations on one harness thread:
-    // exactly reproducible totals for CI's equality assertions (the
-    // K-thread rows race on the shared sub-entry store across queries).
-    let parity_batched = suite_totals(
-        &run_galois_suite_parallel(&scenario, bench_profile(), batched_options.clone(), 1),
-        lanes,
-    );
-    let parity_pipelined = suite_totals(
-        &run_galois_suite_parallel(&scenario, bench_profile(), pipelined_options.clone(), 1),
-        lanes,
-    );
+    let batched = run_galois_suite(&scenario, bench_profile(), batched_options.clone());
+    let pipelined = run_galois_suite(&scenario, bench_profile(), pipelined_options.clone());
     // The listcached pair: one session with the key-universe store on,
-    // the suite run twice, across the full K harness threads (store
-    // totals are thread-count-deterministic since the shared-store PR;
-    // the prompt totals can wobble like the other K-thread rows, which is
-    // why CI asserts equality on the 1-thread parity pair below).
+    // the suite run twice — a cold pass, then a warm one.
     let store_options = GaloisOptions {
         list_store: ListStore::On,
         ..pipelined_options.clone()
@@ -267,30 +215,10 @@ fn main() {
         scenario.database.clone(),
         store_options.clone(),
     );
-    // One harness thread for the cold pass: its row is authoritative and
-    // must equal the listcached_parity object exactly (see the module
-    // docs for the old K-thread wobble).
     let listcached_cold = run_galois_suite_on(&scenario, &store_session, &store_profile.name, 1);
-    let listcached_warm =
-        run_galois_suite_on(&scenario, &store_session, &store_profile.name, lanes);
-    // The 1-thread listcached parity pair: a fresh store session, both
-    // passes exactly reproducible on every field.
-    let parity_store_session = Galois::with_options(
-        model_for(&scenario, store_profile.clone()),
-        scenario.database.clone(),
-        store_options.clone(),
-    );
-    let parity_listcached_cold = suite_totals(
-        &run_galois_suite_on(&scenario, &parity_store_session, &store_profile.name, 1),
-        lanes,
-    );
-    let parity_listcached_warm = suite_totals(
-        &run_galois_suite_on(&scenario, &parity_store_session, &store_profile.name, 1),
-        lanes,
-    );
+    let listcached_warm = run_galois_suite_on(&scenario, &store_session, &store_profile.name, 1);
     // The grid-fused row: the listcached-cold configuration with
-    // multi-attribute grid prompting. One harness thread keeps it exactly
-    // reproducible; the lanes still drive the per-query dataflow.
+    // multi-attribute grid prompting.
     let grid_attrs = parsed_flag::<usize>("--grid-attrs").unwrap_or(6).max(1);
     let grid_keys = parsed_flag::<usize>("--grid-keys").unwrap_or(batch).max(1);
     let grid_options = grid_stack_options(lanes, grid_keys, grid_attrs);
@@ -327,8 +255,8 @@ fn main() {
     // The LIMIT-aware early-termination pair: the operator suite's LIMIT
     // family over a widened world whose `city` concept spans 120 keys,
     // with 10-key list pages so there is paging to cancel. Both rows run
-    // the streaming grid-fused stack on one harness thread; only the
-    // early-stop knob (and the LIMIT clause itself) differs.
+    // the streaming grid-fused stack; only the early-stop knob (and the
+    // LIMIT clause itself) differs.
     let wide = Scenario::generate_with(
         seed,
         galois_dataset::WorldConfig {
@@ -405,8 +333,8 @@ fn main() {
     // over a deterministically faulty oracle (20 % of prompts fail with
     // marker-detectable faults; truncated answers excluded so every fault
     // is caught by the retry loop rather than parsed), absorbed by the
-    // default retry policy. One harness thread; the row must tie the
-    // galois_sequential row exactly on prompts and cache hits.
+    // default retry policy. The row must tie the galois_sequential row
+    // exactly on prompts and cache hits.
     let faulty_options = GaloisOptions {
         resilience: Resilience::On(RetryPolicy::default()),
         ..Default::default()
@@ -421,97 +349,79 @@ fn main() {
     );
     let faulty_retry = run_galois_suite_on(&scenario, &faulty_session, &store_profile.name, 1);
 
-    let qa = run_baseline_suite_parallel(&scenario, bench_profile(), BaselineKind::Plain, lanes);
-    let cot = run_baseline_suite_parallel(
-        &scenario,
-        bench_profile(),
-        BaselineKind::ChainOfThought,
-        lanes,
-    );
+    let qa = run_baseline_suite(&scenario, bench_profile(), BaselineKind::Plain);
+    let cot = run_baseline_suite(&scenario, bench_profile(), BaselineKind::ChainOfThought);
 
     // Every Galois row derives its `parallelism` from the options the run
-    // actually used and names the harness thread count explicitly — one
-    // uniform metadata convention (see `crates/bench/README.md`).
+    // actually used — one uniform metadata convention (see
+    // `crates/bench/README.md`).
     let limit_streaming_options = limit_options(galois_core::EarlyStop::Limit);
     let methods = [
         MethodReport::of(
             "galois_sequential",
             &sequential_options,
-            1,
             suite_totals(&sequential, 1),
         ),
         MethodReport::of(
             "galois_scheduled",
             &scheduled_options,
-            lanes,
             suite_totals(&scheduled, lanes),
         ),
         MethodReport::of(
             "galois_cost_planner",
             &cost_planner_options,
-            lanes,
             suite_totals(&cost_planned, lanes),
         ),
         MethodReport::of(
             "galois_batched",
             &batched_options,
-            lanes,
             suite_totals(&batched, lanes),
         ),
         MethodReport::of(
             "galois_pipelined",
             &pipelined_options,
-            lanes,
             suite_totals(&pipelined, lanes),
         ),
         MethodReport::of(
             "galois_listcached_cold",
             &store_options,
-            1,
             suite_totals(&listcached_cold, lanes),
         ),
         MethodReport::of(
             "galois_listcached_warm",
             &store_options,
-            lanes,
             suite_totals(&listcached_warm, lanes),
         ),
         MethodReport::of(
             "galois_grid_fused",
             &grid_options,
-            1,
             suite_totals(&grid_fused, lanes),
         ),
         MethodReport::of(
             "galois_limit_streaming",
             &limit_streaming_options,
-            1,
             limit_streaming,
         ),
         MethodReport::of(
             "galois_limit_unlimited",
             &limit_streaming_options,
-            1,
             limit_unlimited,
         ),
         MethodReport::of(
             "galois_faulty_retry",
             &faulty_options,
-            1,
             suite_totals(&faulty_retry, 1),
         ),
         multiquery_report(&multiquery_options, &multiquery),
         MethodReport {
             name: "qa_baseline",
             parallelism: lanes,
-            threads: lanes,
             totals: baseline_totals(&qa, lanes),
             extra: String::new(),
         },
         MethodReport {
             name: "qa_cot_baseline",
             parallelism: lanes,
-            threads: lanes,
             totals: baseline_totals(&cot, lanes),
             extra: String::new(),
         },
@@ -531,24 +441,11 @@ fn main() {
     let warm_speedup = cold_ms as f64 / warm_ms as f64;
     let grid_ms = methods[7].totals.virtual_ms.max(1);
 
-    let parity_row = |name: &str, t: &SuiteTotals| {
-        format!(
-            "    \"{name}\": {{ \"threads\": 1, \"prompts\": {}, \"cache_hits\": {}, \
-             \"virtual_ms\": {} }}",
-            t.prompts, t.cache_hits, t.virtual_ms,
-        )
-    };
     let rows: Vec<String> = methods.iter().map(MethodReport::to_json).collect();
     let json = format!(
         "{{\n  \"seed\": {seed},\n  \"suite\": \"oracle-46\",\n  \"parallelism\": {lanes},\n  \
-         \"methods\": {{\n{}\n  }},\n  \"pipeline_parity\": {{\n{},\n{}\n  }},\n  \
-         \"listcached_parity\": {{\n{},\n{}\n  }},\n  \
-         \"virtual_speedup\": {speedup:.2}\n}}\n",
+         \"methods\": {{\n{}\n  }},\n  \"virtual_speedup\": {speedup:.2}\n}}\n",
         rows.join(",\n"),
-        parity_row("galois_batched", &parity_batched),
-        parity_row("galois_pipelined", &parity_pipelined),
-        parity_row("galois_listcached_cold", &parity_listcached_cold),
-        parity_row("galois_listcached_warm", &parity_listcached_warm),
     );
     std::fs::write(&out, &json).expect("write report");
 

@@ -124,12 +124,6 @@ pub fn detectable_fault_profile(rate: f64) -> FaultProfile {
     }
 }
 
-/// Parses a `--threads N` argument pair, defaulting to 1 (the sequential,
-/// paper-faithful harness).
-pub fn threads_from_args() -> usize {
-    parsed_flag("--threads").unwrap_or(1).max(1)
-}
-
 /// Parses an arbitrary `<flag> <value>` pair from `std::env::args`.
 pub fn parsed_flag<T: std::str::FromStr>(flag: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
@@ -154,8 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_is_one() {
-        assert_eq!(super::threads_from_args(), 1);
+    fn absent_flags_parse_to_none() {
         assert_eq!(super::parsed_flag::<usize>("--no-such-flag"), None);
         assert_eq!(super::string_flag("--no-such-flag"), None);
     }

@@ -35,7 +35,6 @@
 //! | [`parse`] | §4 workflow (3): answers → CELL values |
 //! | [`clean`] | §4 workflow (3): normalisation + domain constraints |
 //! | [`session`] | §4 workflow (1)–(4), §5 prompt accounting |
-//! | [`schedule`] | concurrent prompt scheduler (worker-thread waves) |
 //! | [`multi`] | cross-query scheduling over a shared lane pool |
 //! | [`baselines`] | §5 `T_M` and `T_C_M` |
 
@@ -49,7 +48,6 @@ pub mod multi;
 pub mod parse;
 pub mod plan_choice;
 pub mod prompts;
-pub mod schedule;
 pub mod session;
 
 pub use baselines::{BaselineKind, BaselineResult, QaBaseline};
@@ -62,7 +60,6 @@ pub use error::{GaloisError, Result};
 pub use galois_llm::{FairShare, Parallelism, RetryPolicy};
 pub use multi::{run_multi_query, MultiQueryOutcome, MultiQueryReport};
 pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost};
-pub use schedule::Scheduler;
 pub use session::{
     Admission, AdmissionPolicy, EarlyStop, Galois, GaloisOptions, GaloisResult, ListStore,
     Pipeline, PromptBatch, QueryStats, Resilience,

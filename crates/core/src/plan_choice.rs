@@ -109,7 +109,7 @@ impl fmt::Display for Planner {
 pub struct PlannerParams {
     /// Prompts per batch request ([`crate::GaloisOptions::batch_size`]).
     pub batch_size: f64,
-    /// Request lanes / worker threads (`GaloisOptions::parallelism`).
+    /// Virtual request lanes (`GaloisOptions::parallelism`).
     pub lanes: usize,
     /// Fixed virtual overhead charged per batch request.
     pub batch_overhead_ms: f64,

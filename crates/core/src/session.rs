@@ -25,8 +25,11 @@
 //!   micro-batches the moment they fill, under an event-driven virtual
 //!   clock shared by every step of the query.
 //!
-//! Prompts execute across up to `K` worker threads ([`crate::schedule`]),
-//! where `K` is [`GaloisOptions::parallelism`]. [`GaloisOptions::prompt_batch`]
+//! Prompts execute on the calling thread, in fire order; `K` =
+//! [`GaloisOptions::parallelism`] sets how many *virtual* request lanes the
+//! triggers' clocks pack them onto (a networked backend brings its own
+//! concurrency behind the [`LanguageModel`] boundary).
+//! [`GaloisOptions::prompt_batch`]
 //! picks the prompt *shape* independently of the trigger: one key per
 //! prompt ([`PromptBatch::Off`]), `B`-key prompts with per-key sub-entry
 //! caching and single-key fallback re-asks ([`PromptBatch::Keys`]), or
@@ -38,7 +41,6 @@ use crate::error::{GaloisError, Result};
 use crate::parse::{parse_boolean_answer, parse_list_answer, parse_value_answer, ListAnswer};
 use crate::plan_choice::{plan_query, PlannedQuery, Planner, PlannerParams};
 use crate::prompts::{FetchTemplate, PromptBuilder};
-use crate::schedule::Scheduler;
 use galois_llm::faults::is_fault_text;
 use galois_llm::intent::{split_batched_answer, split_grid_answer, Condition, TaskIntent};
 use galois_llm::{
@@ -460,8 +462,10 @@ pub struct GaloisOptions {
     /// Prompts per batch request.
     pub batch_size: usize,
     /// Concurrency knob: simulated request lanes for the virtual clock
-    /// *and* real worker threads for the scheduler. `Parallelism(1)` (the
-    /// default) is the paper-faithful sequential configuration.
+    /// (wave packing, the streaming event clock and the speculative
+    /// list-paging ramp). Requests still execute one after another on the
+    /// calling thread. `Parallelism(1)` (the default) is the
+    /// paper-faithful sequential configuration.
     pub parallelism: Parallelism,
     /// Plan-choice strategy. [`Planner::Heuristic`] (the default)
     /// reproduces the pre-planner pipeline bit for bit — same plans, same
@@ -669,7 +673,7 @@ impl StepStats {
     /// bill the same keys twice — and, because raw-cache hits on chunk
     /// strings only arise when concurrent queries race into identical
     /// chunks, would make `cache_hits` depend on arrival order. On a
-    /// single harness thread both forms agree exactly: a pending key is by
+    /// single calling thread both forms agree exactly: a pending key is by
     /// construction not yet stored, so a re-ask chunk can never reproduce
     /// an earlier chunk's prompt string and such hits are zero.
     fn absorb(&mut self, outcome: &BatchOutcome, keyed: bool) {
@@ -709,7 +713,7 @@ pub struct GaloisResult {
 /// are materialised through prompts at query time.
 ///
 /// Sessions are `Sync`: one session may serve queries from many threads
-/// concurrently (the harness does exactly that), sharing the prompt cache.
+/// concurrently, sharing the prompt cache.
 pub struct Galois {
     client: LlmClient,
     db: Database,
@@ -1396,14 +1400,13 @@ impl Ord for StreamEvent {
 ///   its upstream has fully drained, and each wave's time is its
 ///   lane-packed makespan ([`StreamSim::run_drained`]).
 ///
-/// Prompts are *executed* (against the real client, inline or across the
-/// scheduler's worker threads) at fire time, because a task's virtual
+/// Prompts are *executed* (against the real client, on the calling
+/// thread, in fire order) at fire time, because a task's virtual
 /// duration — cache hit or model latency — is only known once it has run;
 /// its parsed effects are then applied when it completes, which is what
 /// releases downstream work.
 struct StreamSim<'a> {
     session: &'a Galois,
-    scheduler: Scheduler,
     clock: galois_llm::EventClock,
     events: std::collections::BinaryHeap<std::cmp::Reverse<StreamEvent>>,
     next_seq: u64,
@@ -1522,7 +1525,6 @@ impl<'a> StreamSim<'a> {
         };
         StreamSim {
             session,
-            scheduler: Scheduler::new(session.options.parallelism),
             clock: galois_llm::EventClock::new(session.options.parallelism.get()),
             events: std::collections::BinaryHeap::new(),
             next_seq: 0,
@@ -1862,27 +1864,19 @@ impl<'a> StreamSim<'a> {
     }
 
     /// Renders `fires` and executes them as client requests — `bounds`
-    /// cuts them into runs sent as one batch each — across the worker pool
-    /// when there are several, returning the outcomes in request order. A
-    /// list prompt reads the exclusion list at render time, which is
-    /// exactly the state the firing event left behind.
+    /// cuts them into runs sent as one batch each — inline, in fire order,
+    /// returning the outcomes in request order. A list prompt reads the
+    /// exclusion list at render time, which is exactly the state the
+    /// firing event left behind.
     fn run_requests(&self, fires: &[Fire], bounds: &[Range<usize>]) -> Vec<BatchOutcome> {
         let prompts: Vec<String> = fires.iter().map(|f| self.render_fire(f)).collect();
-        let client = &self.session.client;
-        let units: Vec<_> = bounds
+        bounds
             .iter()
             .map(|range| {
-                let batch = &prompts[range.clone()];
-                move || client.complete_batch_outcome(batch)
+                self.session
+                    .client
+                    .complete_batch_outcome(&prompts[range.clone()])
             })
-            .collect();
-        let mut outcomes: Vec<Option<BatchOutcome>> = Vec::new();
-        outcomes.resize_with(bounds.len(), || None);
-        self.scheduler
-            .run_wave_streaming(units, |i, outcome| outcomes[i] = Some(outcome));
-        outcomes
-            .into_iter()
-            .map(|outcome| outcome.expect("every request executed"))
             .collect()
     }
 

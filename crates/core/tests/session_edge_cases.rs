@@ -1,11 +1,12 @@
 //! Edge-case integration tests for the Galois session, run against the
 //! noise-free oracle profile (failures here are engine bugs, not noise).
 
-use galois_core::{Galois, GaloisOptions};
+use galois_core::{Galois, GaloisOptions, Parallelism, Pipeline, PromptBatch};
 use galois_dataset::Scenario;
-use galois_llm::{ModelProfile, SimLlm};
+use galois_llm::{Completion, LanguageModel, ModelProfile, SimLlm};
 use galois_relational::Value;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 fn session(scenario: &Scenario) -> Galois {
     Galois::new(
@@ -155,4 +156,70 @@ fn max_iterations_one_truncates_but_still_returns() {
     assert!(!got.relation.is_empty());
     assert!(got.relation.len() <= truth.len());
     assert_eq!(got.stats.list_prompts, 1);
+}
+
+/// The oracle, recording the thread every completion runs on.
+struct ThreadRecorder {
+    inner: SimLlm,
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl LanguageModel for ThreadRecorder {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn context_window(&self) -> usize {
+        self.inner.context_window()
+    }
+
+    fn complete(&self, prompt: &str) -> Completion {
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        self.inner.complete(prompt)
+    }
+
+    fn signature(&self) -> String {
+        self.inner.signature()
+    }
+}
+
+#[test]
+fn retrieval_runs_on_the_calling_thread_at_any_lane_count() {
+    let s = Scenario::generate(42);
+    let queries = [
+        "SELECT c.name, k.gdp FROM city c, country k \
+         WHERE c.country = k.name AND c.population > 1000000",
+        "SELECT name, population FROM city WHERE population > 1000000",
+    ];
+    for pipeline in [Pipeline::Off, Pipeline::Streaming] {
+        let model = Arc::new(ThreadRecorder {
+            inner: SimLlm::new(s.knowledge.clone(), ModelProfile::oracle()),
+            threads: Mutex::new(Vec::new()),
+        });
+        let g = Galois::with_options(
+            model.clone(),
+            s.database.clone(),
+            GaloisOptions {
+                parallelism: Parallelism::new(8),
+                pipeline,
+                prompt_batch: PromptBatch::Grid { keys: 10, attrs: 6 },
+                ..Default::default()
+            },
+        );
+        for sql in queries {
+            let got = g.execute(sql).unwrap();
+            let truth = s.database.execute(sql).unwrap();
+            assert_eq!(got.relation.len(), truth.len(), "{pipeline:?}: {sql}");
+        }
+        let seen = model.threads.lock().unwrap();
+        assert!(seen.len() > 1, "{pipeline:?}: the queries must prompt");
+        let caller = std::thread::current().id();
+        assert!(
+            seen.iter().all(|&id| id == caller),
+            "{pipeline:?}: a completion ran off the calling thread"
+        );
+    }
 }

@@ -7,7 +7,8 @@
 //! request overhead, and a prompt cache models the obvious deduplication a
 //! production system would deploy. No real time passes.
 //!
-//! The client is built to be shared across worker threads:
+//! The client is built to be shared by concurrent callers (sessions are
+//! `Sync`):
 //!
 //! * the prompt cache is striped over [`CACHE_SHARDS`] mutexes keyed by
 //!   prompt hash, so concurrent lookups of different prompts do not

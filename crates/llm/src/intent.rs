@@ -119,8 +119,8 @@ impl Condition {
     /// [`Condition::values`]) render their canonical template. A condition
     /// missing an operand — which only arises from hand-built or corrupted
     /// values, never from [`Condition::parse`] — renders a `?` placeholder
-    /// instead of panicking, so a worker thread formatting a prompt can
-    /// never be killed by malformed input.
+    /// instead of panicking, so formatting a prompt can never abort a
+    /// query on malformed input.
     pub fn render_phrase(&self) -> String {
         let v = |i: usize| {
             self.values
@@ -649,8 +649,8 @@ pub fn question_line(prompt: &str) -> &str {
 
 /// The typed result of decoding an operator prompt.
 ///
-/// The parsing hot path runs on worker threads over *model output and
-/// injected fault text*, so it must classify garbage instead of panicking:
+/// The parsing hot path runs over *model output and injected fault
+/// text*, so it must classify garbage instead of panicking:
 ///
 /// * [`Parsed`](ParseOutcome::Parsed) — a well-formed operator prompt;
 /// * [`Malformed`](ParseOutcome::Malformed) — the text carries an operator

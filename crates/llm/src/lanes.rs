@@ -6,18 +6,22 @@
 //! provider; independent prompts then cost `max` over lanes rather than
 //! `sum` over members. [`Parallelism`] is that knob, and [`lane_schedule`]
 //! is the accounting rule shared by the client's per-batch clock and the
-//! session scheduler's per-wave clock.
+//! session's per-wave clock.
 //!
 //! `Parallelism::new(1)` reproduces the original sequential accounting
 //! bit-for-bit: with one lane, `lane_schedule` degenerates to a plain sum.
 //!
 //! The knob applies *per scheduling level*: a batch's members decode
-//! across `K` provider streams, a wave's independent batches occupy `K`
-//! request lanes, and the harness may additionally run `K` concurrent
-//! query streams. Because the levels compose, an end-to-end speedup can
-//! exceed `K` (it is bounded by the product of the levels involved) — the
-//! model is "each scheduling point sees `K`-way concurrency", not a
+//! across `K` provider streams, and a wave's independent batches occupy
+//! `K` request lanes. Because the levels compose, an end-to-end speedup
+//! can exceed `K` (it is bounded by the product of the levels involved) —
+//! the model is "each scheduling point sees `K`-way concurrency", not a
 //! single global pool of `K` connections.
+//!
+//! Lanes are virtual only: every request executes on the calling thread,
+//! and the lanes decide what it *costs* on the simulated clock. A
+//! networked backend brings its own concurrency behind the
+//! [`crate::LanguageModel`] boundary.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -26,14 +30,13 @@ use std::fmt;
 
 /// Number of concurrent request lanes a deployment offers.
 ///
-/// The same value drives two things:
-///
-/// * the **virtual clock** — a batch of `n` independent prompts costs
-///   `overhead + max(lane sums)` across `K` simulated lanes instead of
-///   `overhead + sum`, and a wave of independent work units is packed onto
-///   `K` lanes the same way;
-/// * the **real worker pool** — the session scheduler runs at most `K`
-///   retrieval units on OS threads at once.
+/// The value drives the **virtual clock** only: a batch of `n`
+/// independent prompts costs `overhead + max(lane sums)` across `K`
+/// simulated lanes instead of `overhead + sum`, a wave of independent work
+/// units is packed onto `K` lanes the same way ([`lane_schedule`]), and
+/// the streaming trigger's [`EventClock`] assigns each released task to
+/// one of `K` lanes. No OS threads are involved: requests execute on the
+/// calling thread.
 ///
 /// Values are clamped to at least 1; `Parallelism::default()` is 1, the
 /// paper-faithful sequential configuration.

@@ -1,23 +1,27 @@
-//! Golden reference for `Pipeline::Off` (the drain trigger).
+//! Golden reference for both retrieval triggers.
 //!
-//! `tests/fixtures/wave_golden.txt` records, for every query of the
-//! 46-query paper suite and the 18-query operator suite (`small_config`,
-//! seed 42), the exact `QueryStats` snapshot (every field except the
-//! measured `wall_ms`) and an FNV-1a digest of the result rows in order,
-//! across the `Pipeline::Off` lattice:
+//! `tests/fixtures/wave_golden.txt` (`Pipeline::Off`, the drain trigger)
+//! and `tests/fixtures/stream_golden.txt` (`Pipeline::Streaming`) record,
+//! for every query of the 46-query paper suite and the 18-query operator
+//! suite (`small_config`, seed 42), the exact `QueryStats` snapshot (every
+//! field except the measured `wall_ms`) and an FNV-1a digest of the result
+//! rows in order, across the same lattice under each pipeline:
 //!
 //! * lanes {1, 2, 8} × batch {`Off`, `Keys(1)`, `Keys(10)`, `Grid{10,1}`,
 //!   `Grid{10,6}`} × store {`Off`, `On` cold pass, `On` warm pass} on the
 //!   oracle model, both suites;
-//! * `EarlyStop::Limit` on the operator suite (where it must stay inert);
+//! * `EarlyStop::Limit` on the operator suite (inert under the drain
+//!   trigger, cutting list pages and fetches under streaming);
 //! * `Resilience::On` over `common::faulty_oracle`, the noisy `chatgpt`
-//!   profile, and `common::LineDropper` (which drives the batched fallback
-//!   rungs), both suites at lanes {1, 8}.
+//!   profile, and `common::LineDropper` (which drives every batched
+//!   fallback rung, the grid ladder's three included), both suites at
+//!   lanes {1, 8}.
 //!
-//! The numbers are the paper-faithful barrier-wave pipeline's prompts,
-//! cache hits, clocks and rows, which the drain trigger must reproduce
-//! exactly. Regenerate the fixture (only when a change is *meant* to move
-//! these numbers) with
+//! The drain numbers are the paper-faithful barrier-wave pipeline's
+//! prompts, cache hits, clocks and rows; the streaming numbers pin the
+//! event-driven trigger's micro-batching per query, which the
+//! relation-level equivalence batteries alone do not. Regenerate both
+//! fixtures (only when a change is *meant* to move these numbers) with
 //!
 //! ```text
 //! cargo test --release --test wave_golden -- --ignored
@@ -36,7 +40,9 @@ use galois::relational::Relation;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-const FIXTURE: &str = "tests/fixtures/wave_golden.txt";
+/// Each pipeline's fixture.
+const DRAIN_FIXTURE: &str = "tests/fixtures/wave_golden.txt";
+const STREAM_FIXTURE: &str = "tests/fixtures/stream_golden.txt";
 
 const LANES: [usize; 3] = [1, 2, 8];
 const BATCHES: [PromptBatch; 5] = [
@@ -67,6 +73,7 @@ enum Suite {
 /// One session configuration of the lattice; `warm` passes run the suite
 /// twice on one session and record both.
 struct Pass {
+    pipeline: Pipeline,
     suite: Suite,
     model: Model,
     lanes: usize,
@@ -89,13 +96,14 @@ impl Pass {
     }
 }
 
-fn lattice() -> Vec<Pass> {
+fn lattice(pipeline: Pipeline) -> Vec<Pass> {
     let mut passes = Vec::new();
     for suite in [Suite::Paper, Suite::Operator] {
         for lanes in LANES {
             for batch in BATCHES {
                 for store in [false, true] {
                     passes.push(Pass {
+                        pipeline,
                         suite,
                         model: Model::Oracle,
                         lanes,
@@ -110,6 +118,7 @@ fn lattice() -> Vec<Pass> {
             for lanes in [1, 8] {
                 for batch in BATCHES {
                     passes.push(Pass {
+                        pipeline,
                         suite,
                         model,
                         lanes,
@@ -124,6 +133,7 @@ fn lattice() -> Vec<Pass> {
     for lanes in LANES {
         for batch in BATCHES {
             passes.push(Pass {
+                pipeline,
                 suite: Suite::Operator,
                 model: Model::Oracle,
                 lanes,
@@ -144,7 +154,7 @@ fn session(s: &Scenario, pass: &Pass) -> Galois {
         Model::FaultyRetry => faulty_oracle(s, FaultProfile::default()),
     };
     let opts = GaloisOptions {
-        pipeline: Pipeline::Off,
+        pipeline: pass.pipeline,
         prompt_batch: pass.batch,
         parallelism: Parallelism::new(pass.lanes),
         list_store: if pass.store {
@@ -275,10 +285,11 @@ fn run_pass(s: &Scenario, pass: &Pass) -> String {
     out
 }
 
-/// Runs the whole lattice, a few passes at a time, in lattice order.
-fn render_lattice() -> Vec<String> {
+/// Runs the whole lattice under `pipeline`, a few passes at a time, in
+/// lattice order.
+fn render_lattice(pipeline: Pipeline) -> Vec<String> {
     let s = Scenario::generate_with(42, small_config());
-    let passes = lattice();
+    let passes = lattice(pipeline);
     let threads = 4;
     let mut blocks = vec![String::new(); passes.len()];
     std::thread::scope(|scope| {
@@ -303,14 +314,15 @@ fn render_lattice() -> Vec<String> {
     blocks
 }
 
-#[test]
-fn drain_trigger_reproduces_the_wave_golden_fixture() {
-    let fixture = std::fs::read_to_string(FIXTURE).expect("golden fixture present");
+/// Compares the lattice under `pipeline` with its fixture line by line,
+/// reporting the first mismatches under their pass headers.
+fn check_fixture(pipeline: Pipeline, path: &str) {
+    let fixture = std::fs::read_to_string(path).expect("golden fixture present");
     let expected: Vec<&str> = fixture.split_inclusive('\n').collect();
     let mut want = expected.iter();
     let mut header = String::new();
     let mut mismatches = Vec::new();
-    for block in render_lattice() {
+    for block in render_lattice(pipeline) {
         for line in block.split_inclusive('\n') {
             let want_line = want.next().copied().unwrap_or("<missing>\n");
             if line.starts_with('#') {
@@ -339,8 +351,23 @@ fn drain_trigger_reproduces_the_wave_golden_fixture() {
 }
 
 #[test]
-#[ignore = "regenerates the fixture; run explicitly"]
-fn regenerate_wave_golden_fixture() {
+fn drain_trigger_reproduces_the_wave_golden_fixture() {
+    check_fixture(Pipeline::Off, DRAIN_FIXTURE);
+}
+
+#[test]
+fn streaming_trigger_reproduces_the_stream_golden_fixture() {
+    check_fixture(Pipeline::Streaming, STREAM_FIXTURE);
+}
+
+#[test]
+#[ignore = "regenerates the fixtures; run explicitly"]
+fn regenerate_golden_fixtures() {
     std::fs::create_dir_all("tests/fixtures").expect("fixture dir");
-    std::fs::write(FIXTURE, render_lattice().concat()).expect("write fixture");
+    for (pipeline, path) in [
+        (Pipeline::Off, DRAIN_FIXTURE),
+        (Pipeline::Streaming, STREAM_FIXTURE),
+    ] {
+        std::fs::write(path, render_lattice(pipeline).concat()).expect("write fixture");
+    }
 }

@@ -150,7 +150,7 @@ impl PromptBatch {
 /// slowest request of the previous phase lands.
 ///
 /// [`Pipeline::Streaming`] removes the barriers: keys flow through the
-/// filter chain and into per-column fetch micro-batches the moment they
+/// filter chain and into fetch micro-batches the moment they
 /// are known to survive, and the virtual clock becomes an event-driven
 /// simulation ([`galois_llm::EventClock`]) in which each micro-batch is
 /// released at the instant its inputs exist. A micro-batch fires when it
@@ -193,8 +193,7 @@ pub enum Pipeline {
     Off,
     /// Streaming trigger: per-key micro-batches under the event-driven
     /// virtual clock — list pages feed filter micro-batches, survivors
-    /// stream into the next condition and then into per-column fetch
-    /// micro-batches.
+    /// stream into the next condition and then into fetch micro-batches.
     Streaming,
 }
 
@@ -999,30 +998,6 @@ impl Galois {
     // Retrieval (workflow steps 2–3)
     // -----------------------------------------------------------------
 
-    /// The grid intent for one chunk of keys × one contiguous attr-group
-    /// of the step's fetched columns (`step.fetch[start..start + len]`),
-    /// plus the group's speculative pad columns ([`grid_pad_columns`]).
-    fn grid_intent(
-        &self,
-        step: &LlmScanStep,
-        start: usize,
-        len: usize,
-        chunk_keys: Vec<String>,
-    ) -> TaskIntent {
-        let attr_fuse = self.options.prompt_batch.attrs_per_prompt();
-        let pads = grid_pad_columns(step, start, len, attr_fuse);
-        TaskIntent::FetchGridBatch {
-            relation: step.table.clone(),
-            key_attr: step.key_attr.clone(),
-            keys: chunk_keys,
-            attributes: step.fetch[start..start + len]
-                .iter()
-                .chain(pads.iter())
-                .map(|&c| step.columns[c].name.clone())
-                .collect(),
-        }
-    }
-
     /// Signature prefix shared by every `(cell, key)` sub-entry of one
     /// retrieval cell in the client's extraction cache. `\u{1f}` (ASCII
     /// unit separator) keeps field boundaries unambiguous for keys
@@ -1067,24 +1042,6 @@ impl Galois {
                 relation: step.table.clone(),
                 key_attr: step.key_attr.clone(),
                 keys: chunk_keys,
-                attribute: (*attribute).to_string(),
-            },
-        }
-    }
-
-    /// The single-key fallback intent for one of a cell's keys.
-    fn cell_single_intent(&self, step: &LlmScanStep, cell: &BatchCell, key: &str) -> TaskIntent {
-        match cell {
-            BatchCell::Filter(c) => TaskIntent::CheckFilter {
-                relation: step.table.clone(),
-                key_attr: step.key_attr.clone(),
-                key: key.to_string(),
-                condition: (*c).clone(),
-            },
-            BatchCell::Fetch(attribute) => TaskIntent::FetchAttr {
-                relation: step.table.clone(),
-                key_attr: step.key_attr.clone(),
-                key: key.to_string(),
                 attribute: (*attribute).to_string(),
             },
         }
@@ -1187,35 +1144,29 @@ pub(crate) struct TracedTask {
     pub(crate) completion: u64,
 }
 
-/// One retrieval cell of a dataflow stage, by index into the step (the
-/// borrowed [`BatchCell`] form is reconstructed on demand).
-#[derive(Debug, Clone, Copy)]
-enum StageCell {
-    /// Index into `step.filter_conditions`.
-    Filter(usize),
-    /// `col` indexes `step.columns`; the stage sits at position
-    /// `n_filters + ord` in the stage list.
-    Fetch { col: usize },
-    /// One attr-group of the grid protocol: the columns
-    /// `step.fetch[start..start + len]`, fused into one prompt stream.
-    /// Survivors fan out to per-group chunks instead of per-column ones.
-    Grid { start: usize, len: usize },
-}
-
-/// One accumulator of the dataflow: a filter condition, a fetched column
-/// or a grid attr-group of one step.
+/// One accumulator of the dataflow. Stages `0..n_filters` of a step
+/// check its filter conditions in conjunction order (stage `i` checks
+/// `step.filter_conditions[i]`); every later stage fetches one group of
+/// `step.fetch` columns — one column, or up to `A` under
+/// [`PromptBatch::Grid`]. Only the prompt shape differs between modes:
+/// one key, `B` keys, or `B` keys × the group's attributes.
 #[derive(Debug)]
 struct StageState {
-    cell: StageCell,
-    /// Sub-entry signature prefixes of the stage's cells (empty when the
-    /// multi-key protocol is off — plain single-key prompts bypass the
-    /// sub-entry store). Single-cell stages use `[0]`; a grid stage holds
-    /// one per attr ordinal.
+    /// The columns (indices into `step.columns`) a fetch stage lands, in
+    /// prompt order. Empty at a filter stage.
+    cols: Vec<usize>,
+    /// The attributes a fetch stage's grid prompt asks for, in prompt
+    /// order: the names of `cols`, then the group's speculative pad
+    /// columns ([`grid_pad_columns`]), which are stored but never landed.
+    attrs: Vec<String>,
+    /// The single-key prompt template of each of `cols`: the per-key hot
+    /// loop splices the key into a prompt rendered once per column.
+    templates: Vec<FetchTemplate>,
+    /// Sub-entry signature prefixes of the stage's cells: the filter
+    /// condition, or one per entry of `attrs` (empty when the multi-key
+    /// protocol is off — plain single-key prompts bypass the sub-entry
+    /// store).
     sig_prefixes: Vec<String>,
-    /// The single-key prompt template of a fetch-column stage (`None`
-    /// elsewhere): the per-key hot loop splices the key into a prompt
-    /// rendered once per column.
-    fetch_template: Option<FetchTemplate>,
     /// Key slots accumulated towards the next fire: under the streaming
     /// trigger always fewer than the fuse factor (full micro-batches fire
     /// immediately); under the drain trigger every key delivered so far,
@@ -1223,10 +1174,10 @@ struct StageState {
     pending: Vec<usize>,
     /// Micro-batches and fallback re-asks in flight.
     inflight: usize,
-    /// `(slot, attr ordinal)` cells already consumed at a grid stage —
-    /// grid chunks carry keys with *some* cells still cached or
-    /// re-delivered, and an answered cell must neither re-consume nor
-    /// re-enter the fallback ladder. Unused at single-cell stages.
+    /// `(slot, attr ordinal)` cells of a multi-column group extracted
+    /// from the sub-entry store on delivery: the key still joins a grid
+    /// chunk for its missing cells, whose parse must neither re-land nor
+    /// re-ask these.
     answered: std::collections::HashSet<(usize, usize)>,
     /// True once the producing stage (list page stream, or the previous
     /// filter) can no longer deliver keys.
@@ -1321,33 +1272,44 @@ struct StepRun<'a> {
     wave_ms: u64,
 }
 
+impl StepRun<'_> {
+    /// The borrowed form of one cell of stage `g`: its filter condition,
+    /// or the fetched attribute of ordinal `attr`.
+    fn cell(&self, g: usize, attr: usize) -> BatchCell<'_> {
+        if g < self.n_filters {
+            BatchCell::Filter(&self.step.filter_conditions[g])
+        } else {
+            BatchCell::Fetch(&self.stages[g].attrs[attr])
+        }
+    }
+}
+
 /// What a fired task is: one list iteration, one speculative offset page,
-/// one multi-key chunk, or one single-key prompt (a batched-mode fallback
-/// re-ask, or every filter and fetch prompt when batching is off).
+/// or one rung of a stage's fallback ladder. A key's cells are first
+/// asked as a grid chunk (fetch stages under [`PromptBatch::Grid`]) or a
+/// multi-key chunk of one cell; a cell whose answer line is dropped or
+/// mangled is re-asked one rung down, so batching may cost prompts but
+/// never accuracy. With batching off every filter and fetch prompt is a
+/// `Single`.
 #[derive(Debug)]
 enum FireTarget {
     List,
     ListPage {
         offset: usize,
     },
-    Chunk {
+    /// `B` keys × every attribute of a fetch stage's group.
+    Grid {
         stage: usize,
         members: Vec<usize>,
     },
-    Single {
-        stage: usize,
-        member: usize,
-    },
-    /// Middle rung of the grid fallback ladder: the failed cells of one
-    /// attr (ordinal `attr` of a grid stage) re-asked as a per-attribute
-    /// key batch ([`TaskIntent::FetchAttrBatch`]).
-    AttrChunk {
+    /// `B` keys × one cell (attr ordinal `attr`; 0 at a filter stage).
+    Chunk {
         stage: usize,
         attr: usize,
         members: Vec<usize>,
     },
-    /// Bottom rung: one grid cell re-asked as a single-key prompt.
-    GridSingle {
+    /// One key × one cell.
+    Single {
         stage: usize,
         attr: usize,
         member: usize,
@@ -1436,17 +1398,20 @@ struct StreamSim<'a> {
     /// order — the replayable schedule cross-query mode re-packs onto a
     /// shared lane pool.
     trace: Vec<TracedTask>,
+    /// Scratch buffer every sub-entry signature is built in
+    /// ([`sig_for_key`]).
+    sig: String,
 }
 
 impl<'a> StreamSim<'a> {
     fn new(session: &'a Galois, compiled: &'a CompiledQuery) -> Self {
         let batched = session.options.prompt_batch.is_on();
-        let grid = session.options.prompt_batch.is_grid();
         let attr_fuse = session.options.prompt_batch.attrs_per_prompt();
-        let blank_stage = |cell| StageState {
-            cell,
-            sig_prefixes: Vec::new(),
-            fetch_template: None,
+        let stage = |cols, attrs, templates, sig_prefixes| StageState {
+            cols,
+            attrs,
+            templates,
+            sig_prefixes,
             pending: Vec::new(),
             inflight: 0,
             answered: std::collections::HashSet::new(),
@@ -1458,46 +1423,40 @@ impl<'a> StreamSim<'a> {
             .iter()
             .map(|step| {
                 let mut stages: Vec<StageState> = Vec::new();
-                for i in 0..step.filter_conditions.len() {
-                    stages.push(blank_stage(StageCell::Filter(i)));
+                for c in &step.filter_conditions {
+                    let sig_prefixes = if batched {
+                        vec![session.cell_sig_prefix(step, &BatchCell::Filter(c))]
+                    } else {
+                        Vec::new()
+                    };
+                    stages.push(stage(Vec::new(), Vec::new(), Vec::new(), sig_prefixes));
                 }
-                if grid {
-                    let n_cols = step.fetch.len();
-                    for start in (0..n_cols).step_by(attr_fuse) {
-                        let len = attr_fuse.min(n_cols - start);
-                        stages.push(blank_stage(StageCell::Grid { start, len }));
-                    }
-                } else {
-                    for &col in &step.fetch {
-                        stages.push(StageState {
-                            fetch_template: Some(session.prompt_builder.fetch_template(
-                                &step.table,
-                                &step.key_attr,
-                                &step.columns[col].name,
-                            )),
-                            ..blank_stage(StageCell::Fetch { col })
-                        });
-                    }
-                }
-                if batched {
-                    for stage in &mut stages {
-                        stage.sig_prefixes = match stage.cell {
-                            // Group ordinals first, then the group's
-                            // speculative pad columns — the same attr
-                            // order the grid prompt renders.
-                            StageCell::Grid { start, len } => step.fetch[start..start + len]
-                                .iter()
-                                .chain(grid_pad_columns(step, start, len, attr_fuse).iter())
-                                .map(|&c| {
-                                    session.cell_sig_prefix(
-                                        step,
-                                        &BatchCell::Fetch(&step.columns[c].name),
-                                    )
-                                })
-                                .collect(),
-                            _ => vec![session.cell_sig_prefix(step, &stage_cell(step, stage, 0))],
-                        };
-                    }
+                let n_cols = step.fetch.len();
+                for start in (0..n_cols).step_by(attr_fuse) {
+                    let len = attr_fuse.min(n_cols - start);
+                    let cols = step.fetch[start..start + len].to_vec();
+                    let attrs: Vec<String> = cols
+                        .iter()
+                        .chain(grid_pad_columns(step, start, len, attr_fuse).iter())
+                        .map(|&c| step.columns[c].name.clone())
+                        .collect();
+                    let templates = attrs[..len]
+                        .iter()
+                        .map(|a| {
+                            session
+                                .prompt_builder
+                                .fetch_template(&step.table, &step.key_attr, a)
+                        })
+                        .collect();
+                    let sig_prefixes = if batched {
+                        attrs
+                            .iter()
+                            .map(|a| session.cell_sig_prefix(step, &BatchCell::Fetch(a)))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    stages.push(stage(cols, attrs, templates, sig_prefixes));
                 }
                 StepRun {
                     step,
@@ -1538,6 +1497,7 @@ impl<'a> StreamSim<'a> {
             confirmed: Vec::new(),
             confirmed_total: 0,
             trace: Vec::new(),
+            sig: String::new(),
         }
     }
 
@@ -1637,11 +1597,13 @@ impl<'a> StreamSim<'a> {
         while let Some(std::cmp::Reverse(head)) = self.events.peek() {
             let t = head.time;
             let mut fires = Vec::new();
-            while let Some(std::cmp::Reverse(head)) = self.events.peek() {
-                if head.time != t {
-                    break;
-                }
-                let std::cmp::Reverse(event) = self.events.pop().expect("peeked event");
+            loop {
+                let event = match self.events.peek_mut() {
+                    Some(head) if head.0.time == t => {
+                        std::collections::binary_heap::PeekMut::pop(head).0
+                    }
+                    _ => break,
+                };
                 self.process(event.step, event.target, &event.completion.text, &mut fires);
             }
             self.execute_fires(t, fires);
@@ -1761,14 +1723,22 @@ impl<'a> StreamSim<'a> {
         run.iterations += width_now;
     }
 
+    /// Fires one accumulated chunk on its stage's top rung.
     fn fire_chunk(&mut self, s: usize, stage: usize, members: Vec<usize>, fires: &mut Vec<Fire>) {
-        let target = if self.batched {
-            FireTarget::Chunk { stage, members }
-        } else {
+        let target = if !self.batched {
             debug_assert_eq!(members.len(), 1, "unbatched micro-batches hold one key");
             FireTarget::Single {
                 stage,
+                attr: 0,
                 member: members[0],
+            }
+        } else if self.session.options.prompt_batch.is_grid() && stage >= self.steps[s].n_filters {
+            FireTarget::Grid { stage, members }
+        } else {
+            FireTarget::Chunk {
+                stage,
+                attr: 0,
+                members,
             }
         };
         self.fire_at(s, stage, target, fires);
@@ -1789,7 +1759,6 @@ impl<'a> StreamSim<'a> {
         let keys_of = |members: &[usize]| -> Vec<String> {
             members.iter().map(|&i| run.keys[i].clone()).collect()
         };
-        let cell = |stage: usize, attr: usize| stage_cell(run.step, &run.stages[stage], attr);
         match &fire.target {
             FireTarget::List => builder.task(&TaskIntent::ListKeys {
                 relation: run.step.table.clone(),
@@ -1803,63 +1772,52 @@ impl<'a> StreamSim<'a> {
                 condition: run.step.scan_condition.clone(),
                 offset: *offset,
             }),
-            FireTarget::Chunk { stage, members } => {
-                let keys = keys_of(members);
-                match run.stages[*stage].cell {
-                    StageCell::Grid { start, len } => {
-                        builder.task(&self.session.grid_intent(run.step, start, len, keys))
-                    }
-                    _ => builder.task(&self.session.cell_batched_intent(
-                        run.step,
-                        &cell(*stage, 0),
-                        keys,
-                    )),
-                }
-            }
-            FireTarget::AttrChunk {
+            FireTarget::Grid { stage, members } => builder.task(&TaskIntent::FetchGridBatch {
+                relation: run.step.table.clone(),
+                key_attr: run.step.key_attr.clone(),
+                keys: keys_of(members),
+                attributes: run.stages[*stage].attrs.clone(),
+            }),
+            FireTarget::Chunk {
                 stage,
                 attr,
                 members,
             } => builder.task(&self.session.cell_batched_intent(
                 run.step,
-                &cell(*stage, *attr),
+                &run.cell(*stage, *attr),
                 keys_of(members),
             )),
-            FireTarget::Single { stage, member } => {
-                let key = &run.keys[*member];
-                match &run.stages[*stage].fetch_template {
-                    Some(template) => template.render(key),
-                    None => builder.task(&self.session.cell_single_intent(
-                        run.step,
-                        &cell(*stage, 0),
-                        key,
-                    )),
-                }
-            }
-            FireTarget::GridSingle {
+            FireTarget::Single {
                 stage,
                 attr,
                 member,
-            } => builder.task(&self.session.cell_single_intent(
-                run.step,
-                &cell(*stage, *attr),
-                &run.keys[*member],
-            )),
+            } => {
+                let key = &run.keys[*member];
+                match run.cell(*stage, *attr) {
+                    BatchCell::Filter(condition) => builder.task(&TaskIntent::CheckFilter {
+                        relation: run.step.table.clone(),
+                        key_attr: run.step.key_attr.clone(),
+                        key: key.clone(),
+                        condition: condition.clone(),
+                    }),
+                    BatchCell::Fetch(_) => run.stages[*stage].templates[*attr].render(key),
+                }
+            }
         }
     }
 
     fn fire_phase(&self, fire: &Fire) -> Phase {
         match fire.target {
             FireTarget::List | FireTarget::ListPage { .. } => Phase::List,
-            FireTarget::Chunk { stage, .. } | FireTarget::Single { stage, .. }
-                if matches!(
-                    self.steps[fire.step].stages[stage].cell,
-                    StageCell::Filter(_)
-                ) =>
-            {
-                Phase::Filter
+            FireTarget::Grid { stage, .. }
+            | FireTarget::Chunk { stage, .. }
+            | FireTarget::Single { stage, .. } => {
+                if stage < self.steps[fire.step].n_filters {
+                    Phase::Filter
+                } else {
+                    Phase::Fetch
+                }
             }
-            _ => Phase::Fetch,
         }
     }
 
@@ -1978,29 +1936,31 @@ impl<'a> StreamSim<'a> {
         fires.into_iter().map(|f| f.target).zip(answers).collect()
     }
 
-    /// Drain trigger: the grid ladder's middle rung re-asks each attr's
-    /// failed cells from the *whole* landed wave as one key stream, cut
-    /// into `B`-key chunks — where the streaming trigger re-asks them per
-    /// landed grid chunk.
+    /// Drain trigger: a round's multi-key chunks are re-cut per cell as
+    /// one key stream into `B`-key chunks. A stage's first rung is already
+    /// cut this way (its keys arrive at once, in discovery order); the
+    /// grid ladder's middle rung thereby re-asks each attr's failed cells
+    /// from the *whole* landed wave — where the streaming trigger re-asks
+    /// them per landed grid chunk.
     fn merge_attr_chunks(&mut self, s: usize, fires: Vec<Fire>) -> Vec<Fire> {
         if !fires
             .iter()
-            .any(|f| matches!(f.target, FireTarget::AttrChunk { .. }))
+            .any(|f| matches!(f.target, FireTarget::Chunk { .. }))
         {
             return fires;
         }
-        let mut failed: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
+        let mut cells: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
             std::collections::BTreeMap::new();
         let mut out = Vec::with_capacity(fires.len());
         for fire in fires {
             match fire.target {
-                FireTarget::AttrChunk {
+                FireTarget::Chunk {
                     stage,
                     attr,
                     members,
                 } => {
                     self.steps[s].stages[stage].inflight -= 1;
-                    failed.entry((stage, attr)).or_default().extend(members);
+                    cells.entry((stage, attr)).or_default().extend(members);
                 }
                 target => out.push(Fire {
                     step: fire.step,
@@ -2008,9 +1968,9 @@ impl<'a> StreamSim<'a> {
                 }),
             }
         }
-        for ((stage, attr), members) in failed {
+        for ((stage, attr), members) in cells {
             for chunk in members.chunks(self.fuse) {
-                let target = FireTarget::AttrChunk {
+                let target = FireTarget::Chunk {
                     stage,
                     attr,
                     members: chunk.to_vec(),
@@ -2041,42 +2001,12 @@ impl<'a> StreamSim<'a> {
                     self.spec_apply(s, fires);
                 }
             }
-            FireTarget::Chunk { stage, members } => {
+            FireTarget::Grid { stage, members } => {
                 self.steps[s].stages[stage].inflight -= 1;
-                if let StageCell::Grid { len, .. } = self.steps[s].stages[stage].cell {
-                    self.process_grid_chunk(s, stage, len, &members, text, fires);
-                } else {
-                    for (slot, sub) in self.split_chunk(s, &members, text) {
-                        match sub {
-                            Some(answer) => {
-                                self.store_answer(s, stage, 0, slot, &answer);
-                                self.consume_answer(s, stage, slot, &answer, fires);
-                            }
-                            // The model dropped or mangled this key's line:
-                            // re-ask with the single-key prompt, chained
-                            // after this batch (batching may cost prompts,
-                            // never accuracy).
-                            None => {
-                                let target = FireTarget::Single {
-                                    stage,
-                                    member: slot,
-                                };
-                                self.fire_at(s, stage, target, fires);
-                            }
-                        }
-                    }
-                }
+                self.process_grid_chunk(s, stage, &members, text, fires);
                 self.maybe_drain(s, stage, fires);
             }
-            FireTarget::Single { stage, member } => {
-                self.steps[s].stages[stage].inflight -= 1;
-                if self.batched {
-                    self.store_answer(s, stage, 0, member, text);
-                }
-                self.consume_answer(s, stage, member, text, fires);
-                self.maybe_drain(s, stage, fires);
-            }
-            FireTarget::AttrChunk {
+            FireTarget::Chunk {
                 stage,
                 attr,
                 members,
@@ -2086,12 +2016,13 @@ impl<'a> StreamSim<'a> {
                     match sub {
                         Some(answer) => {
                             self.store_answer(s, stage, attr, slot, &answer);
-                            self.land_grid_cell(s, stage, attr, slot, &answer);
+                            self.land(s, stage, attr, slot, &answer, fires);
                         }
-                        // Bottom rung: one single-key prompt per failed
-                        // cell.
+                        // The model dropped or mangled this key's line:
+                        // re-ask with the single-key prompt, chained
+                        // after this batch.
                         None => {
-                            let target = FireTarget::GridSingle {
+                            let target = FireTarget::Single {
                                 stage,
                                 attr,
                                 member: slot,
@@ -2102,14 +2033,16 @@ impl<'a> StreamSim<'a> {
                 }
                 self.maybe_drain(s, stage, fires);
             }
-            FireTarget::GridSingle {
+            FireTarget::Single {
                 stage,
                 attr,
                 member,
             } => {
                 self.steps[s].stages[stage].inflight -= 1;
-                self.store_answer(s, stage, attr, member, text);
-                self.land_grid_cell(s, stage, attr, member, text);
+                if self.batched {
+                    self.store_answer(s, stage, attr, member, text);
+                }
+                self.land(s, stage, attr, member, text, fires);
                 self.maybe_drain(s, stage, fires);
             }
         }
@@ -2130,43 +2063,32 @@ impl<'a> StreamSim<'a> {
     }
 
     /// Applies one grid chunk's answer: every unanswered `(slot, attr)`
-    /// cell consumes its parsed line, and each attr's failed cells re-ask
-    /// together down the ladder's middle rung
-    /// ([`FireTarget::AttrChunk`]).
+    /// cell lands its parsed line, and each attr's failed cells re-ask
+    /// together one rung down ([`FireTarget::Chunk`]).
     fn process_grid_chunk(
         &mut self,
         s: usize,
         stage: usize,
-        len: usize,
         members: &[usize],
         text: &str,
         fires: &mut Vec<Fire>,
     ) {
-        let (chunk_keys, attr_names): (Vec<String>, Vec<String>) = {
+        let (cells, width) = {
             let run = &self.steps[s];
-            let StageCell::Grid { start, .. } = run.stages[stage].cell else {
-                unreachable!("grid chunks fire only at grid stages")
-            };
-            let attr_fuse = self.session.options.prompt_batch.attrs_per_prompt();
-            let pads = grid_pad_columns(run.step, start, len, attr_fuse);
+            let keys: Vec<String> = members.iter().map(|&i| run.keys[i].clone()).collect();
+            let group = &run.stages[stage];
             (
-                members.iter().map(|&i| run.keys[i].clone()).collect(),
-                (start..start + len)
-                    .map(|ci| run.step.fetch[ci])
-                    .chain(pads)
-                    .map(|c| run.step.columns[c].name.clone())
-                    .collect(),
+                split_grid_answer(text, &keys, &group.attrs),
+                group.cols.len(),
             )
         };
-        let cells = split_grid_answer(text, &chunk_keys, &attr_names);
-        let mut failed: Vec<Vec<usize>> = vec![Vec::new(); len];
+        let mut failed: Vec<Vec<usize>> = vec![Vec::new(); width];
         for (&slot, row) in members.iter().zip(cells) {
             for (ord, cell) in row.into_iter().enumerate() {
-                if ord >= len {
-                    // Speculative pad cells (attr ordinals past the
-                    // group's own `len`) only seed the sub-entry store for
-                    // later queries — no row consumption, no fallback for
-                    // a dropped pad line.
+                if ord >= width {
+                    // Speculative pad cells only seed the sub-entry store
+                    // for later queries — no row consumption, no fallback
+                    // for a dropped pad line.
                     if let Some(answer) = cell {
                         self.store_answer(s, stage, ord, slot, &answer);
                     }
@@ -2174,7 +2096,7 @@ impl<'a> StreamSim<'a> {
                     match cell {
                         Some(answer) => {
                             self.store_answer(s, stage, ord, slot, &answer);
-                            self.land_grid_cell(s, stage, ord, slot, &answer);
+                            self.land(s, stage, ord, slot, &answer, fires);
                         }
                         None => failed[ord].push(slot),
                     }
@@ -2183,7 +2105,7 @@ impl<'a> StreamSim<'a> {
         }
         for (attr, members) in failed.into_iter().enumerate() {
             if !members.is_empty() {
-                let target = FireTarget::AttrChunk {
+                let target = FireTarget::Chunk {
                     stage,
                     attr,
                     members,
@@ -2196,13 +2118,14 @@ impl<'a> StreamSim<'a> {
     /// Stores one cell's answer (attr ordinal `ord` of stage `g`, for the
     /// key of `slot`) under its sub-entry signature, so later batched or
     /// single asks of the same cell extract it.
-    fn store_answer(&self, s: usize, g: usize, ord: usize, slot: usize, answer: &str) {
+    fn store_answer(&mut self, s: usize, g: usize, ord: usize, slot: usize, answer: &str) {
         let run = &self.steps[s];
-        let mut sig = String::new();
-        let prefix = &run.stages[g].sig_prefixes[ord];
-        self.session
-            .client
-            .store_sub_entry(sig_for_key(&mut sig, prefix, &run.keys[slot]), answer);
+        let sig = sig_for_key(
+            &mut self.sig,
+            &run.stages[g].sig_prefixes[ord],
+            &run.keys[slot],
+        );
+        self.session.client.store_sub_entry(sig, answer);
     }
 
     /// Looks one cell up in the sub-entry store, returning a stored
@@ -2210,15 +2133,13 @@ impl<'a> StreamSim<'a> {
     /// hit; an in-flight cell is still re-asked locally — the dataflow
     /// never parks a key waiting on another thread.
     fn extract_answer(&mut self, s: usize, g: usize, ord: usize, slot: usize) -> Option<String> {
-        let lookup = {
-            let run = &self.steps[s];
-            let mut sig = String::new();
-            let prefix = &run.stages[g].sig_prefixes[ord];
-            self.session
-                .client
-                .extract_sub_entry(sig_for_key(&mut sig, prefix, &run.keys[slot]))
-        };
-        match lookup {
+        let run = &self.steps[s];
+        let sig = sig_for_key(
+            &mut self.sig,
+            &run.stages[g].sig_prefixes[ord],
+            &run.keys[slot],
+        );
+        match self.session.client.extract_sub_entry(sig) {
             SubEntryLookup::Hit(answer) => {
                 self.acc.cache_hits += 1;
                 Some(answer)
@@ -2229,14 +2150,6 @@ impl<'a> StreamSim<'a> {
             }
             SubEntryLookup::Miss => None,
         }
-    }
-
-    /// Lands one grid cell's answer: marked answered, and consumed into
-    /// the key's row.
-    fn land_grid_cell(&mut self, s: usize, g: usize, ord: usize, slot: usize, answer: &str) {
-        self.steps[s].stages[g].answered.insert((slot, ord));
-        let col = grid_attr_col(self.steps[s].step, &self.steps[s].stages[g], ord);
-        self.consume_fetch_value(s, col, slot, answer);
     }
 
     /// Applies one list iteration's answer: new keys enter the dataflow,
@@ -2422,34 +2335,35 @@ impl<'a> StreamSim<'a> {
         }
     }
 
-    /// A key arrives at a stage: sub-entry extraction first (batched
-    /// mode), otherwise into the accumulator ([`StreamSim::accumulate`]).
+    /// A key arrives at a stage: sub-entry extraction of its cells first
+    /// (batched mode), then into the accumulator
+    /// ([`StreamSim::accumulate`]) when any cell is still missing.
     ///
-    /// At a grid stage every cell of the attr-group runs extraction, and
-    /// the key joins the group's accumulator when *any* cell is still
-    /// missing (already-answered cells are skipped at parse time — grid
-    /// prompts always ask the whole group, so their strings stay
-    /// chunk-membership-deterministic).
+    /// A multi-column group's key joins the accumulator when *any* of its
+    /// cells is missing; the cells extracted here are marked answered and
+    /// skipped at parse time (grid prompts always ask the whole group, so
+    /// their strings stay chunk-membership-deterministic).
     fn deliver(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) {
-        if let StageCell::Grid { len, .. } = self.steps[s].stages[g].cell {
+        if self.batched {
+            // One cell per fetched column; the condition at a filter stage.
+            let width = if g < self.steps[s].n_filters {
+                1
+            } else {
+                self.steps[s].stages[g].cols.len()
+            };
             let mut missing = false;
-            for ord in 0..len {
-                if self.steps[s].stages[g].answered.contains(&(slot, ord)) {
-                    continue;
-                }
+            for ord in 0..width {
                 match self.extract_answer(s, g, ord, slot) {
-                    Some(answer) => self.land_grid_cell(s, g, ord, slot, &answer),
+                    Some(answer) => {
+                        if width > 1 {
+                            self.steps[s].stages[g].answered.insert((slot, ord));
+                        }
+                        self.land(s, g, ord, slot, &answer, fires);
+                    }
                     None => missing = true,
                 }
             }
-            if missing {
-                self.accumulate(s, g, slot, fires);
-            }
-            return;
-        }
-        if self.batched {
-            if let Some(answer) = self.extract_answer(s, g, 0, slot) {
-                self.consume_answer(s, g, slot, &answer, fires);
+            if !missing {
                 return;
             }
         }
@@ -2468,41 +2382,34 @@ impl<'a> StreamSim<'a> {
         }
     }
 
-    /// Applies one key's answer at a stage: a filter verdict routes the
-    /// key onward or kills it (an unparseable verdict keeps the tuple out:
-    /// the predicate did not evaluate to TRUE); a fetch answer lands in
-    /// the key's row.
-    fn consume_answer(
+    /// Lands one cell's answer for the key of `slot`. At a filter stage
+    /// the verdict routes the key onward or kills it (an unparseable
+    /// verdict keeps the tuple out: the predicate did not evaluate to
+    /// TRUE); at a fetch stage the value of attr ordinal `attr` lands in
+    /// the key's materialising row.
+    fn land(
         &mut self,
         s: usize,
         g: usize,
+        attr: usize,
         slot: usize,
         answer: &str,
         fires: &mut Vec<Fire>,
     ) {
-        match self.steps[s].stages[g].cell {
-            StageCell::Filter(_) => {
-                if is_fault_text(answer) {
-                    // A degraded verdict keeps the tuple out, like any
-                    // unparseable one, but is counted as a failed cell.
-                    self.acc.failed_cells += 1;
-                    self.steps[s].slots[slot].alive = false;
-                } else if parse_boolean_answer(answer).unwrap_or(false) {
-                    self.route_survivor(s, g, slot, fires);
-                } else {
-                    self.steps[s].slots[slot].alive = false;
-                }
+        if g < self.steps[s].n_filters {
+            if is_fault_text(answer) {
+                // A degraded verdict keeps the tuple out, like any
+                // unparseable one, but is counted as a failed cell.
+                self.acc.failed_cells += 1;
+                self.steps[s].slots[slot].alive = false;
+            } else if parse_boolean_answer(answer).unwrap_or(false) {
+                self.route_survivor(s, g, slot, fires);
+            } else {
+                self.steps[s].slots[slot].alive = false;
             }
-            StageCell::Fetch { col } => self.consume_fetch_value(s, col, slot, answer),
-            StageCell::Grid { .. } => {
-                unreachable!("grid cells consume through consume_fetch_value directly")
-            }
+            return;
         }
-    }
-
-    /// Lands one fetch answer in a key's materialising row (shared by the
-    /// per-column and grid stages).
-    fn consume_fetch_value(&mut self, s: usize, col: usize, slot: usize, answer: &str) {
+        let col = self.steps[s].stages[g].cols[attr];
         let cleaning = &self.session.options.cleaning;
         let value = if is_fault_text(answer) {
             // A degraded fetch annotates the cell as Null.
@@ -2579,7 +2486,12 @@ impl<'a> StreamSim<'a> {
         } else {
             fires.reserve(members.len());
             for member in members {
-                self.fire_at(s, g, FireTarget::Single { stage: g, member }, fires);
+                let target = FireTarget::Single {
+                    stage: g,
+                    attr: 0,
+                    member,
+                };
+                self.fire_at(s, g, target, fires);
             }
         }
         self.maybe_drain(s, g, fires);
@@ -2611,39 +2523,17 @@ impl<'a> StreamSim<'a> {
     }
 }
 
-/// The borrowed cell form of a stage's prompt: its filter condition or
-/// fetched column, or — at a grid stage — the column of attr ordinal
-/// `attr` (ignored elsewhere).
-fn stage_cell<'a>(step: &'a LlmScanStep, stage: &StageState, attr: usize) -> BatchCell<'a> {
-    match stage.cell {
-        StageCell::Filter(i) => BatchCell::Filter(&step.filter_conditions[i]),
-        StageCell::Fetch { col } => BatchCell::Fetch(&step.columns[col].name),
-        StageCell::Grid { .. } => {
-            BatchCell::Fetch(&step.columns[grid_attr_col(step, stage, attr)].name)
-        }
-    }
-}
-
 /// The cell whose fires may share one client request under the drain
 /// trigger: `(stage, attr ordinal)`, or `None` for list pages, which
 /// always go alone.
 fn request_cell(target: &FireTarget) -> Option<(usize, usize)> {
     match *target {
         FireTarget::List | FireTarget::ListPage { .. } => None,
-        FireTarget::Chunk { stage, .. } | FireTarget::Single { stage, .. } => Some((stage, 0)),
-        FireTarget::AttrChunk { stage, attr, .. } | FireTarget::GridSingle { stage, attr, .. } => {
+        FireTarget::Grid { stage, .. } => Some((stage, 0)),
+        FireTarget::Chunk { stage, attr, .. } | FireTarget::Single { stage, attr, .. } => {
             Some((stage, attr))
         }
     }
-}
-
-/// The column (index into `step.columns`) of one attr ordinal of a grid
-/// stage.
-fn grid_attr_col(step: &LlmScanStep, stage: &StageState, attr: usize) -> usize {
-    let StageCell::Grid { start, .. } = stage.cell else {
-        unreachable!("attr ordinals exist only at grid stages")
-    };
-    step.fetch[start + attr]
 }
 
 /// Speculative fill of a grid attr-group's spare width: when the group is

@@ -39,6 +39,7 @@
 //! asserts.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use galois_llm::{FairShare, LanePool};
@@ -324,11 +325,11 @@ pub fn run_multi_query(
     while let Some(&Reverse((t, _, _, _))) = events.peek() {
         // Drain every completion at this instant, finishing queries and
         // arriving their closed-loop successors.
-        while let Some(&Reverse((et, _, _, _))) = events.peek() {
-            if et != t {
-                break;
-            }
-            let Reverse((_, _, q, idx)) = events.pop().expect("peeked event");
+        loop {
+            let Reverse((_, _, q, idx)) = match events.peek_mut() {
+                Some(head) if head.0 .0 == t => PeekMut::pop(head),
+                _ => break,
+            };
             replay[q].done_at[idx] = Some(t);
             replay[q].running -= 1;
             let s = replay[q].session;

@@ -2335,13 +2335,11 @@ impl<'a> StreamSim<'a> {
         }
     }
 
-    /// A key arrives at a stage: sub-entry extraction of its cells first
-    /// (batched mode), then into the accumulator
-    /// ([`StreamSim::accumulate`]) when any cell is still missing.
-    ///
-    /// A multi-column group's key joins the accumulator when *any* of its
-    /// cells is missing; the cells extracted here are marked answered and
-    /// skipped at parse time (grid prompts always ask the whole group, so
+    /// A key arrives at a stage: in batched mode each of its cells is first
+    /// looked up in the sub-entry store, and the key joins the accumulator
+    /// ([`StreamSim::accumulate`]) only while some cell is still missing.
+    /// A multi-column group's extracted cells are marked answered so the
+    /// grid parse skips them (grid prompts always ask the whole group, so
     /// their strings stay chunk-membership-deterministic).
     fn deliver(&mut self, s: usize, g: usize, slot: usize, fires: &mut Vec<Fire>) {
         if self.batched {

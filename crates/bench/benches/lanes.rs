@@ -1,23 +1,11 @@
-//! Microbenchmarks for the virtual-lane scheduler over 10k-item waves:
-//! [`lane_schedule`] (min-scan below 32 lanes, binary heap at and above —
-//! the measured crossover) against the pre-satellite per-item `O(lanes)`
-//! min-scan applied unconditionally, plus the raw [`EventClock`] the
-//! streaming pipeline drives. At 8 lanes the two match (both scan); at 64
-//! lanes the heap's `O(log K)` lane lookup shows its win.
-//!
-//! The `lane_schedule_fresh_alloc_*` cases are the before/after pair for
-//! the scratch-buffer reuse fix: the "before" reallocates the load vector
-//! and heap on every call (the old heap-path behaviour), while
-//! `lane_schedule` reuses thread-local scratch and an explicit
-//! [`LaneScratch`] skips even the thread-local lookup. All three produce
-//! bit-identical makespans; only the allocator traffic differs — visible
-//! on the short per-batch waves the client accounts on every prompt
-//! batch, not just the 10k-item extreme.
+//! Microbenchmarks for the virtual-lane clock at 8 and 64 lanes:
+//! [`lane_schedule`] over one 10k-item wave and over a stream of
+//! 10-item batches (the shape the client accounts on every prompt
+//! batch), and the raw [`EventClock`] the streaming pipeline drives
+//! with staggered releases.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use galois_llm::{lane_schedule, EventClock, LaneScratch};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use galois_llm::{lane_schedule, EventClock};
 
 /// Deterministic pseudo-random durations (xorshift), with plenty of ties.
 fn durations(n: usize) -> Vec<u64> {
@@ -32,81 +20,18 @@ fn durations(n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The pre-heap formulation: scan every lane for the minimum load on each
-/// item.
-fn lane_schedule_min_scan(durations: &[u64], lanes: usize) -> u64 {
-    let mut load = vec![0u64; lanes];
-    for &d in durations {
-        let min = (0..lanes)
-            .min_by_key(|&i| load[i])
-            .expect("at least one lane");
-        load[min] += d;
-    }
-    load.into_iter().max().unwrap_or(0)
-}
-
-/// The pre-fix formulation: same assignments and tie-breaks as
-/// `lane_schedule`, but the load vector / heap are allocated fresh on
-/// every call instead of reused from scratch buffers.
-fn lane_schedule_fresh_alloc(durations: &[u64], lanes: usize) -> u64 {
-    if lanes >= 32 {
-        let mut free: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..lanes).map(|i| Reverse((0, i))).collect();
-        let mut makespan = 0u64;
-        for &d in durations {
-            let Reverse((free_at, lane)) = free.pop().expect("at least one lane");
-            let done = free_at + d;
-            free.push(Reverse((done, lane)));
-            makespan = makespan.max(done);
-        }
-        makespan
-    } else {
-        lane_schedule_min_scan(durations, lanes)
-    }
-}
-
 fn bench_lane_schedule(c: &mut Criterion) {
     let wave = durations(10_000);
+    let batches: Vec<&[u64]> = wave.chunks(10).collect();
     for lanes in [8usize, 64] {
         c.bench_function(&format!("lane_schedule_10k_{lanes}lanes"), |b| {
             b.iter(|| lane_schedule(black_box(&wave).iter().copied(), lanes))
         });
-        c.bench_function(&format!("lane_schedule_minscan_10k_{lanes}lanes"), |b| {
-            b.iter(|| lane_schedule_min_scan(black_box(&wave), lanes))
-        });
-    }
-}
-
-/// Before/after for the scratch-buffer reuse fix, on the wave shape the
-/// client actually accounts in steady state: a stream of small batches
-/// (10 items, the default `PromptBatch::Keys(10)` width), where per-call
-/// allocation dominates the arithmetic.
-fn bench_lane_scratch_reuse(c: &mut Criterion) {
-    let wave = durations(10_000);
-    let batches: Vec<&[u64]> = wave.chunks(10).collect();
-    for lanes in [8usize, 64] {
-        c.bench_function(&format!("batchstream_fresh_alloc_{lanes}lanes"), |b| {
-            b.iter(|| {
-                batches
-                    .iter()
-                    .map(|batch| lane_schedule_fresh_alloc(black_box(batch), lanes))
-                    .sum::<u64>()
-            })
-        });
-        c.bench_function(&format!("batchstream_thread_local_{lanes}lanes"), |b| {
+        c.bench_function(&format!("lane_schedule_batchstream_{lanes}lanes"), |b| {
             b.iter(|| {
                 batches
                     .iter()
                     .map(|batch| lane_schedule(black_box(batch).iter().copied(), lanes))
-                    .sum::<u64>()
-            })
-        });
-        c.bench_function(&format!("batchstream_explicit_scratch_{lanes}lanes"), |b| {
-            let mut scratch = LaneScratch::new();
-            b.iter(|| {
-                batches
-                    .iter()
-                    .map(|batch| scratch.lane_schedule(black_box(batch).iter().copied(), lanes))
                     .sum::<u64>()
             })
         });
@@ -115,22 +40,19 @@ fn bench_lane_scratch_reuse(c: &mut Criterion) {
 
 fn bench_event_clock(c: &mut Criterion) {
     let wave = durations(10_000);
-    c.bench_function("event_clock_10k_released_8lanes", |b| {
-        b.iter(|| {
-            let mut clock = EventClock::new(8);
-            // Staggered releases, the streaming driver's shape.
-            for (i, &d) in wave.iter().enumerate() {
-                clock.schedule((i as u64) * 3, d);
-            }
-            clock.makespan()
-        })
-    });
+    for lanes in [8usize, 64] {
+        c.bench_function(&format!("event_clock_10k_released_{lanes}lanes"), |b| {
+            b.iter(|| {
+                let mut clock = EventClock::new(lanes);
+                // Staggered releases, the streaming driver's shape.
+                for (i, &d) in wave.iter().enumerate() {
+                    clock.schedule((i as u64) * 3, d);
+                }
+                clock.makespan()
+            })
+        });
+    }
 }
 
-criterion_group!(
-    benches,
-    bench_lane_schedule,
-    bench_lane_scratch_reuse,
-    bench_event_clock
-);
+criterion_group!(benches, bench_lane_schedule, bench_event_clock);
 criterion_main!(benches);

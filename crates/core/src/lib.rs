@@ -57,7 +57,7 @@ pub use compile::{
     LlmScanStep,
 };
 pub use error::{GaloisError, Result};
-pub use galois_llm::{FairShare, Parallelism, RetryPolicy};
+pub use galois_llm::{Parallelism, RetryPolicy};
 pub use multi::{run_multi_query, MultiQueryOutcome, MultiQueryReport};
 pub use plan_choice::{PlanReport, PlannedQuery, Planner, PlannerParams, StepCost};
 pub use session::{

@@ -22,29 +22,28 @@
 //!    yields its dataflow's task trace: every micro-batch the private
 //!    clock scheduled, with its private release/duration/completion.
 //! 2. **Global replay** — a discrete-event simulation packs the traced
-//!    tasks onto the shared pool under the
-//!    [`AdmissionPolicy`]: closed-loop sessions,
-//!    FIFO admission with a `max_inflight` cap (the wait is
-//!    [`QueryStats::queue_ms`](crate::QueryStats::queue_ms)), per-session
-//!    in-flight task quotas, and
-//!    [`FairShare`] arbitration between sessions
-//!    with ready tasks at the same instant.
+//!    tasks onto one shared pool of `sessions × K` lanes under the
+//!    [`AdmissionPolicy`]: closed-loop sessions, FIFO admission with a
+//!    `max_inflight` cap (the wait is
+//!    [`QueryStats::queue_ms`](crate::QueryStats::queue_ms)), and
+//!    deficit-ms fair share between sessions with ready tasks at the same
+//!    instant — the session with the least lane-busy time served so far
+//!    goes first, ties to the lowest session index.
 //!
 //! A task may start once every earlier task of the same query that
 //! *preceded it* in the private schedule (private completion ≤ the
 //! task's private release) has completed in the replay — the trace's
-//! happens-before edges, nothing more. With one session, an unlimited
-//! quota and the derived `sessions × K` pool, the replay reproduces the
-//! private schedule bit-exactly, which is what the determinism battery
-//! asserts.
+//! happens-before edges, nothing more. With one session and no in-flight
+//! cap the replay reproduces the private schedule bit-exactly, which is
+//! what the determinism battery asserts.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use galois_llm::{FairShare, LanePool};
+use galois_llm::LanePool;
 
-use crate::error::Result;
+use crate::error::{GaloisError, Result};
 use crate::session::{AdmissionPolicy, Galois, GaloisResult, TracedTask};
 
 /// One query's outcome under cross-query scheduling.
@@ -124,9 +123,9 @@ struct ReplayQuery {
     next: usize,
     /// Tasks submitted but not yet completed.
     running: usize,
-    arrival: Option<u64>,
-    admitted: Option<u64>,
-    finished: Option<u64>,
+    arrival: u64,
+    admitted: u64,
+    finished: u64,
 }
 
 impl ReplayQuery {
@@ -157,41 +156,43 @@ impl ReplayQuery {
 /// [`stats.queue_ms`](crate::QueryStats::queue_ms) to
 /// `admitted − arrival`.
 ///
-/// Requires [`Pipeline::Streaming`](crate::Pipeline::Streaming) (the wave
-/// engine has no task trace to replay) and
-/// `session_of.len() == queries.len()`.
+/// Returns [`GaloisError::Unsupported`] unless the session runs
+/// [`Pipeline::Streaming`](crate::Pipeline::Streaming) (the drain trigger
+/// has no task trace to replay) and `session_of` names one session per
+/// query.
 pub fn run_multi_query(
     galois: &Galois,
     queries: &[&str],
     session_of: &[usize],
     policy: &AdmissionPolicy,
 ) -> Result<MultiQueryReport> {
-    assert_eq!(
-        queries.len(),
-        session_of.len(),
-        "session_of must assign every query a session"
-    );
+    if session_of.len() != queries.len() {
+        return Err(GaloisError::Unsupported(format!(
+            "run_multi_query needs one session per query: got {} sessions for {} queries",
+            session_of.len(),
+            queries.len()
+        )));
+    }
     let sessions = session_of.iter().map(|s| s + 1).max().unwrap_or(1);
-    let k = galois.options().parallelism.get();
-    let pool_lanes = policy.pool_lanes_for(sessions, k);
+    let pool_lanes = sessions * galois.options().parallelism.get();
 
     // Logical pass: canonical order, shared caches warm in workload order
     // exactly as a serial suite would — the session assignment cannot
     // change any answer or prompt count.
     let mut results = Vec::with_capacity(queries.len());
     let mut replay: Vec<ReplayQuery> = Vec::with_capacity(queries.len());
-    for (i, sql) in queries.iter().enumerate() {
+    for (sql, &session) in queries.iter().zip(session_of) {
         let (result, trace) = galois.execute_traced(sql)?;
         results.push(result);
         replay.push(ReplayQuery {
-            session: session_of[i],
+            session,
             done_at: vec![None; trace.len()],
             trace,
             next: 0,
             running: 0,
-            arrival: None,
-            admitted: None,
-            finished: None,
+            arrival: 0,
+            admitted: 0,
+            finished: 0,
         });
     }
 
@@ -207,20 +208,18 @@ pub fn run_multi_query(
     let mut pool = LanePool::new(pool_lanes, sessions);
     // FIFO admission queue, ordered by (arrival, canonical index).
     let mut waiting: BTreeSet<(u64, usize)> = BTreeSet::new();
+    // Admitted queries that still have tasks to submit or complete.
+    let mut inflight: Vec<usize> = Vec::new();
     // Completion events: (time, submission seq, query index, task index).
     let mut events: BinaryHeap<Reverse<(u64, u64, usize, usize)>> = BinaryHeap::new();
     let mut seq: u64 = 0;
-    let mut inflight_queries: usize = 0;
-    let mut session_tasks: Vec<usize> = vec![0; sessions];
-    let mut rr_cursor: usize = 0;
     let mut makespan: u64 = 0;
     let mut total_queue: u64 = 0;
 
     // Arrive each session's first query at t = 0.
-    for s in 0..sessions {
-        if let Some(&q) = chain[s].first() {
+    for (s, members) in chain.iter().enumerate() {
+        if let Some(&q) = members.first() {
             chain_pos[s] = 1;
-            replay[q].arrival = Some(0);
             waiting.insert((0, q));
         }
     }
@@ -232,87 +231,52 @@ pub fn run_multi_query(
     macro_rules! admit_and_finish {
         ($t:expr) => {{
             let t = $t;
-            loop {
-                let Some(&(arr, q)) = waiting.iter().next() else {
-                    break;
-                };
+            while let Some(&(arr, q)) = waiting.first() {
                 debug_assert!(arr <= t);
-                if policy.max_inflight > 0 && inflight_queries >= policy.max_inflight {
+                if policy.max_inflight > 0 && inflight.len() >= policy.max_inflight {
                     break;
                 }
                 waiting.remove(&(arr, q));
-                replay[q].admitted = Some(t);
+                replay[q].admitted = t;
                 total_queue += t - arr;
                 if replay[q].trace.is_empty() {
-                    replay[q].finished = Some(t);
+                    replay[q].finished = t;
                     makespan = makespan.max(t);
                     let s = replay[q].session;
                     if let Some(&next_q) = chain[s].get(chain_pos[s]) {
                         chain_pos[s] += 1;
-                        replay[next_q].arrival = Some(t);
+                        replay[next_q].arrival = t;
                         waiting.insert((t, next_q));
                     }
                 } else {
-                    inflight_queries += 1;
+                    inflight.push(q);
                 }
             }
         }};
     }
 
-    // One instant of submission: while some admitted query has a ready
-    // task and its session is under quota, pick the fair-share winner and
-    // schedule its next task on the pool (release = now). Recomputed
-    // after every pick — `served_ms` moves under deficit fairness.
+    // One instant of submission: while some in-flight query has a ready
+    // task, schedule the fair-share winner's next task on the pool
+    // (release = now). The winner is the ready query whose session has
+    // been served least, ties to the lowest session and then the lowest
+    // query index; recomputed after every pick, as `served_ms` moves.
     macro_rules! submit_ready {
         ($t:expr) => {{
             let t = $t;
-            loop {
-                let candidate_sessions: Vec<usize> = (0..sessions)
-                    .filter(|&s| {
-                        policy.session_quota == 0 || session_tasks[s] < policy.session_quota
-                    })
-                    .filter(|&s| {
-                        (0..replay.len()).any(|q| {
-                            replay[q].session == s
-                                && replay[q].admitted.is_some()
-                                && replay[q].next_ready()
-                        })
-                    })
-                    .collect();
-                if candidate_sessions.is_empty() {
-                    break;
-                }
-                let winner_session = match policy.share {
-                    FairShare::DeficitMs => *candidate_sessions
-                        .iter()
-                        .min_by_key(|&&s| (pool.served_ms(s), s))
-                        .expect("non-empty candidates"),
-                    FairShare::RoundRobin => {
-                        let mut pick = candidate_sessions[0];
-                        for off in 0..sessions {
-                            let s = (rr_cursor + off) % sessions;
-                            if candidate_sessions.contains(&s) {
-                                pick = s;
-                                break;
-                            }
-                        }
-                        rr_cursor = (pick + 1) % sessions;
-                        pick
-                    }
-                };
-                let q = (0..replay.len())
-                    .find(|&q| {
-                        replay[q].session == winner_session
-                            && replay[q].admitted.is_some()
-                            && replay[q].next_ready()
-                    })
-                    .expect("winner session has a ready query");
+            while let Some(q) = inflight
+                .iter()
+                .copied()
+                .filter(|&q| replay[q].next_ready())
+                .min_by_key(|&q| {
+                    let s = replay[q].session;
+                    (pool.served_ms(s), s, q)
+                })
+            {
                 let idx = replay[q].next;
                 let duration = replay[q].trace[idx].duration;
-                let done = pool.schedule(winner_session, t, duration);
+                let done = pool.schedule(replay[q].session, t, duration);
                 replay[q].next = idx + 1;
                 replay[q].running += 1;
-                session_tasks[winner_session] += 1;
                 events.push(Reverse((done, seq, q, idx)));
                 seq += 1;
             }
@@ -332,15 +296,14 @@ pub fn run_multi_query(
             };
             replay[q].done_at[idx] = Some(t);
             replay[q].running -= 1;
-            let s = replay[q].session;
-            session_tasks[s] -= 1;
             if replay[q].all_done() {
-                replay[q].finished = Some(t);
+                replay[q].finished = t;
                 makespan = makespan.max(t);
-                inflight_queries -= 1;
+                inflight.retain(|&x| x != q);
+                let s = replay[q].session;
                 if let Some(&next_q) = chain[s].get(chain_pos[s]) {
                     chain_pos[s] += 1;
-                    replay[next_q].arrival = Some(t);
+                    replay[next_q].arrival = t;
                     waiting.insert((t, next_q));
                 }
             }
@@ -349,24 +312,23 @@ pub fn run_multi_query(
         submit_ready!(t);
     }
 
-    debug_assert!(waiting.is_empty() && inflight_queries == 0);
+    debug_assert!(waiting.is_empty() && inflight.is_empty());
 
-    let mut outcomes = Vec::with_capacity(results.len());
-    for (result, rq) in results.into_iter().zip(replay) {
-        let arrival = rq.arrival.expect("every query arrived");
-        let admitted = rq.admitted.expect("every query was admitted");
-        let finished = rq.finished.expect("every query finished");
-        let mut result = result;
-        result.stats.virtual_ms = finished - admitted;
-        result.stats.queue_ms = admitted - arrival;
-        outcomes.push(MultiQueryOutcome {
-            result,
-            session: rq.session,
-            arrival_ms: arrival,
-            admitted_ms: admitted,
-            finished_ms: finished,
-        });
-    }
+    let outcomes = results
+        .into_iter()
+        .zip(replay)
+        .map(|(mut result, rq)| {
+            result.stats.virtual_ms = rq.finished - rq.admitted;
+            result.stats.queue_ms = rq.admitted - rq.arrival;
+            MultiQueryOutcome {
+                result,
+                session: rq.session,
+                arrival_ms: rq.arrival,
+                admitted_ms: rq.admitted,
+                finished_ms: rq.finished,
+            }
+        })
+        .collect();
     Ok(MultiQueryReport {
         outcomes,
         makespan_ms: makespan,
@@ -512,51 +474,14 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_share_matches_deficit_answers() {
-        let galois = streaming_session(4);
-        let rr = run_multi_query(
-            &galois,
-            &SUITE,
-            &[0, 1, 0, 1],
-            &AdmissionPolicy {
-                share: FairShare::RoundRobin,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let galois = streaming_session(4);
-        let deficit =
-            run_multi_query(&galois, &SUITE, &[0, 1, 0, 1], &AdmissionPolicy::default()).unwrap();
-        for (a, b) in rr.outcomes.iter().zip(&deficit.outcomes) {
-            assert_eq!(a.result.relation.rows, b.result.relation.rows);
-            assert_eq!(
-                a.result.stats.total_prompts(),
-                b.result.stats.total_prompts()
-            );
-        }
-    }
-
-    #[test]
-    fn session_quota_bounds_inflight_tasks_without_changing_answers() {
+    fn session_assignment_must_cover_every_query() {
         let galois = streaming_session(8);
-        let quota = run_multi_query(
-            &galois,
-            &SUITE,
-            &[0, 1, 0, 1],
-            &AdmissionPolicy {
-                session_quota: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let galois = streaming_session(8);
-        let free =
-            run_multi_query(&galois, &SUITE, &[0, 1, 0, 1], &AdmissionPolicy::default()).unwrap();
-        for (a, b) in quota.outcomes.iter().zip(&free.outcomes) {
-            assert_eq!(a.result.relation.rows, b.result.relation.rows);
-        }
-        // Throttling task issue can only lengthen the replay clock.
-        assert!(quota.makespan_ms >= free.makespan_ms);
+        let err =
+            run_multi_query(&galois, &SUITE, &[0, 1], &AdmissionPolicy::default()).unwrap_err();
+        assert!(matches!(err, crate::GaloisError::Unsupported(_)));
+        assert!(err.to_string().contains("2 sessions for 4 queries"));
+        // Nothing ran: the check precedes the logical pass.
+        assert_eq!(galois.session_stats().prompts, 0);
     }
 
     #[test]

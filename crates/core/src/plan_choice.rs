@@ -166,12 +166,12 @@ pub struct PlannerParams {
     pub resilience: Option<RetryPolicy>,
     /// Admission policy in effect ([`crate::Admission::Fair`]): the
     /// `EXPLAIN` report gains an `admission:` header line naming the
-    /// shared lane pool, the in-flight cap and the fair-share
-    /// discipline. `None` (the default) keeps the report byte-identical
-    /// to the single-query pipeline's. Cost estimates are deliberately
-    /// untouched — queueing delay depends on the live concurrent load,
-    /// which the per-query planner cannot see; the multi-query replay
-    /// ([`crate::run_multi_query`]) measures it instead.
+    /// shared lane pool and the in-flight cap. `None` (the default) keeps
+    /// the report byte-identical to the single-query pipeline's. Cost
+    /// estimates are deliberately untouched — queueing delay depends on
+    /// the live concurrent load, which the per-query planner cannot see;
+    /// the multi-query replay ([`crate::run_multi_query`]) measures it
+    /// instead.
     pub admission: Option<crate::session::AdmissionPolicy>,
 }
 
@@ -870,25 +870,14 @@ impl PlannedQuery {
         // so every `Admission::Off` report stays byte-identical to the
         // single-query pipeline's.
         if let Some(policy) = &params.admission {
-            let pool = if policy.pool_lanes > 0 {
-                format!("{} lanes", policy.pool_lanes)
-            } else {
-                format!("sessions × {} lanes", params.lanes)
-            };
             let inflight = if policy.max_inflight > 0 {
                 format!("{} queries", policy.max_inflight)
             } else {
                 "unlimited".to_string()
             };
-            let quota = if policy.session_quota > 0 {
-                format!("{} tasks/session", policy.session_quota)
-            } else {
-                "unlimited".to_string()
-            };
             out.push_str(&format!(
-                "admission: shared pool ({pool}), in-flight cap {inflight}, quota {quota}, \
-                 share {}\n",
-                policy.share,
+                "admission: shared pool (sessions × {} lanes), in-flight cap {inflight}\n",
+                params.lanes
             ));
         }
         let mut temp_rows: HashMap<String, f64> = HashMap::new();
@@ -1447,7 +1436,6 @@ mod tests {
         let report = render(&on);
         assert!(report.contains("admission: shared pool (sessions × 8 lanes)"));
         assert!(report.contains("in-flight cap 4 queries"));
-        assert!(report.contains("share deficit-ms"));
         // The knob adds one line and changes nothing else.
         let stripped: String = report
             .lines()
@@ -1459,35 +1447,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stripped, render(&off_at_8));
-    }
-
-    #[test]
-    fn render_admission_names_explicit_pool_and_quota() {
-        let s = Scenario::generate(42);
-        let plan = s
-            .database
-            .plan("SELECT name FROM city WHERE population > 1000000")
-            .unwrap();
-        let params =
-            PlannerParams::default().with_admission(Some(crate::session::AdmissionPolicy {
-                pool_lanes: 64,
-                max_inflight: 0,
-                session_quota: 2,
-                share: galois_llm::FairShare::RoundRobin,
-            }));
-        let report = plan_query(
-            &plan,
-            s.database.catalog(),
-            &CompileOptions::default(),
-            Planner::CostBased,
-            &params,
-        )
-        .unwrap()
-        .render(s.database.catalog(), &params);
-        assert!(report.contains("admission: shared pool (64 lanes)"));
-        assert!(report.contains("in-flight cap unlimited"));
-        assert!(report.contains("quota 2 tasks/session"));
-        assert!(report.contains("share round-robin"));
     }
 
     #[test]

@@ -396,55 +396,28 @@ impl Admission {
     }
 }
 
-/// How the multi-query runner admits queries and shares the lane pool.
+/// How the multi-query runner admits queries onto the shared lane pool.
 ///
-/// Every `0` field means "unbounded / derive automatically", which is also
-/// the default policy: pool sized to `sessions × K`, no in-flight cap, no
-/// per-session task quota, deficit-weighted fairness. Those defaults make
-/// a single-session multi-query run bit-exact with running the same
-/// queries back-to-back through the private streaming engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The pool is always `sessions × K` lanes (every session brings its
+/// configured parallelism, so capacity matches `sessions` independent
+/// `K`-lane query streams), and sessions with ready tasks at the same
+/// virtual instant are served least-served first (deficit-ms fair share,
+/// ties to the lowest session index). The default policy has no in-flight
+/// cap, which makes a single-session multi-query run bit-exact with
+/// running the same queries back-to-back through the private streaming
+/// engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionPolicy {
-    /// Lanes in the shared pool; `0` derives `sessions × K` (every
-    /// session brings its configured parallelism to the pool, so the
-    /// capacity matches `sessions` independent `K`-lane query streams —
-    /// the apples-to-apples comparison against per-query packing).
-    pub pool_lanes: usize,
     /// Maximum queries admitted (running) at once; `0` is unlimited.
     /// Arrivals beyond the cap wait in FIFO order, and their wait is
     /// tallied as [`QueryStats::queue_ms`].
     pub max_inflight: usize,
-    /// Maximum micro-batch tasks one session may have in flight on the
-    /// pool at once; `0` is unlimited. A finite quota stops one wide
-    /// query from monopolising the pool within an instant.
-    pub session_quota: usize,
-    /// Fairness rule arbitrating sessions with ready tasks at the same
-    /// virtual instant.
-    pub share: galois_llm::FairShare,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            pool_lanes: 0,
-            max_inflight: 0,
-            session_quota: 0,
-            share: galois_llm::FairShare::DeficitMs,
-        }
-    }
-}
-
-impl AdmissionPolicy {
-    /// The pool size this policy yields for `sessions` sessions over a
-    /// session configured with `k` lanes (`pool_lanes` when set, else
-    /// `sessions × k`).
-    pub fn pool_lanes_for(&self, sessions: usize, k: usize) -> usize {
-        if self.pool_lanes > 0 {
-            self.pool_lanes
-        } else {
-            sessions.max(1) * k.max(1)
-        }
-    }
+    /// Always `()`. It keeps `AdmissionPolicy { max_inflight,
+    /// ..Default::default() }` free of clippy's `needless_update` lint, so
+    /// callers written against the wider policy of earlier releases still
+    /// build warning-free.
+    #[doc(hidden)]
+    pub _reserved: (),
 }
 
 /// Tuning knobs of a session.

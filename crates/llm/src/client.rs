@@ -311,7 +311,6 @@ pub struct LlmClient {
     /// batched or not.
     sub_entries: Striped<SubEntry>,
     stats: Mutex<ClientStats>,
-    cache_enabled: bool,
     parallelism: Parallelism,
     /// Retry/backoff/timeout policy; `None` forwards every fault's
     /// degraded completion downstream untouched (the PR-8 behaviour).
@@ -323,19 +322,18 @@ pub struct LlmClient {
 }
 
 impl LlmClient {
-    /// Wraps a model with caching enabled and one request lane.
+    /// Wraps a model with one request lane.
     pub fn new(model: Arc<dyn LanguageModel>) -> Self {
         Self::with_parallelism(model, Parallelism::default())
     }
 
-    /// Wraps a model with caching enabled and `parallelism` request lanes.
+    /// Wraps a model with `parallelism` request lanes.
     pub fn with_parallelism(model: Arc<dyn LanguageModel>, parallelism: Parallelism) -> Self {
         LlmClient {
             model,
             cache: Striped::new(),
             sub_entries: Striped::new(),
             stats: Mutex::new(ClientStats::default()),
-            cache_enabled: true,
             parallelism,
             resilience: None,
             breaker: Mutex::new(CircuitBreaker::default()),
@@ -354,14 +352,6 @@ impl LlmClient {
     /// The retry policy in effect, if resilience is on.
     pub fn resilience(&self) -> Option<RetryPolicy> {
         self.resilience
-    }
-
-    /// Wraps a model without the prompt cache (every call hits the model).
-    pub fn without_cache(model: Arc<dyn LanguageModel>) -> Self {
-        LlmClient {
-            cache_enabled: false,
-            ..Self::new(model)
-        }
     }
 
     /// The wrapped model's name.
@@ -434,10 +424,6 @@ impl LlmClient {
     /// loop per prompt: a prompt's attempt sequence is walked by exactly
     /// one thread, so fault schedules stay deterministic under lanes.
     fn lookup_or_complete(&self, prompt: &str) -> (Completion, bool, FaultCounters) {
-        if !self.cache_enabled {
-            let (completion, counters) = self.call_model(prompt);
-            return (completion, false, counters);
-        }
         enum Found {
             Ready(Completion),
             Wait(Arc<InFlight>),
@@ -621,12 +607,8 @@ impl LlmClient {
     /// [`SubEntryLookup::InFlight`], which *also* counts as a cache hit —
     /// hits are a function of how often each signature is asked, never of
     /// which thread's store landed first — but obliges the caller to
-    /// produce the answer itself. Always misses when the cache is
-    /// disabled.
+    /// produce the answer itself.
     pub fn extract_sub_entry(&self, sig: &str) -> SubEntryLookup {
-        if !self.cache_enabled {
-            return SubEntryLookup::Miss;
-        }
         let found = {
             let mut map = self.sub_entries.shard(sig).lock();
             match map.get(sig) {
@@ -654,7 +636,7 @@ impl LlmClient {
     /// poison the sub-entry store for later queries (the `Asked` marker is
     /// left in place, so by-signature hit accounting is unaffected).
     pub fn store_sub_entry(&self, sig: &str, answer: &str) {
-        if !self.cache_enabled || crate::faults::is_fault_text(answer) {
+        if crate::faults::is_fault_text(answer) {
             return;
         }
         let mut map = self.sub_entries.shard(sig).lock();
@@ -837,18 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn without_cache_every_call_counts() {
-        let c = LlmClient::without_cache(Arc::new(FixedResponder {
-            model_name: "fixed".into(),
-            response: "ok".into(),
-        }));
-        c.complete("hello");
-        c.complete("hello");
-        assert_eq!(c.stats().prompts, 2);
-        assert_eq!(c.stats().cache_hits, 0);
-    }
-
-    #[test]
     fn batch_charges_one_overhead() {
         let c = client();
         let prompts: Vec<String> = (0..10).map(|i| format!("p{i}")).collect();
@@ -955,17 +925,6 @@ mod tests {
             SubEntryLookup::Hit("answer".to_string())
         );
         assert_eq!(c.stats().cache_hits, 2);
-    }
-
-    #[test]
-    fn sub_entries_disabled_without_cache() {
-        let c = LlmClient::without_cache(Arc::new(FixedResponder {
-            model_name: "fixed".into(),
-            response: "ok".into(),
-        }));
-        c.store_sub_entry("sig", "value");
-        assert_eq!(c.extract_sub_entry("sig"), SubEntryLookup::Miss);
-        assert_eq!(c.stats().cache_hits, 0);
     }
 
     #[test]

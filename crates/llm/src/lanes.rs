@@ -23,7 +23,6 @@
 //! networked backend brings its own concurrency behind the
 //! [`crate::LanguageModel`] boundary.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -78,14 +77,6 @@ impl fmt::Display for Parallelism {
     }
 }
 
-/// Lane count at which [`lane_schedule`] switches from the per-item
-/// min-scan to the binary heap. Below it a linear scan over the lane
-/// loads stays within a couple of cache lines and beats the heap's
-/// pointer shuffling; at and above it the heap's `O(log K)` lookup wins
-/// (measured crossover ≈ 32 on 10k-item waves — see the `lanes` criterion
-/// bench).
-const HEAP_LANES_MIN: usize = 32;
-
 /// Greedy multi-lane makespan.
 ///
 /// Durations are assigned in submission order, each to the currently
@@ -94,81 +85,22 @@ const HEAP_LANES_MIN: usize = 32;
 /// With one lane this is exactly the sum of the durations — the
 /// pre-scheduler accounting.
 ///
-/// Semantically this is [`EventClock`] with every release time at zero: a
-/// wave is the degenerate pipeline in which all work is ready at once.
-/// Wide waves delegate to exactly that (heap-backed, `O(n log K)`);
-/// narrow ones keep the `O(n·K)` min-scan, which is faster below 32
-/// lanes (the measured crossover, `HEAP_LANES_MIN`). Both paths make the
-/// same assignments with the same tie-breaks — bit-identical makespans.
-///
-/// The per-lane load vector and the heap are thread-local scratch buffers
-/// reused across calls, so the per-wave accounting the client and session
-/// do on every batch allocates nothing in steady state. Callers holding a
-/// long-lived [`LaneScratch`] can skip the thread-local lookup too.
+/// For more than one lane this is [`EventClock`] with every release time
+/// at zero: a wave is the degenerate pipeline in which all work is ready
+/// at once, so the same heap makes the same assignments with the same
+/// tie-breaks in `O(n log K)`.
 pub fn lane_schedule<I>(durations: I, lanes: usize) -> u64
 where
     I: IntoIterator<Item = u64>,
 {
-    thread_local! {
-        static SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::new());
+    if lanes <= 1 {
+        return durations.into_iter().sum();
     }
-    SCRATCH.with(|s| s.borrow_mut().lane_schedule(durations, lanes))
-}
-
-/// Reusable scratch buffers for [`lane_schedule`]: the per-lane load
-/// vector of the min-scan path and the `(free_at, lane)` heap of the wide
-/// path, both retained across calls so repeated wave accounting allocates
-/// nothing in steady state. (The free function reuses a thread-local
-/// instance; a long-lived explicit scratch skips even that lookup.)
-///
-/// Both paths make exactly [`lane_schedule`]'s assignments with its
-/// tie-breaks — bit-identical makespans.
-#[derive(Debug, Default)]
-pub struct LaneScratch {
-    load: Vec<u64>,
-    free: BinaryHeap<Reverse<(u64, usize)>>,
-}
-
-impl LaneScratch {
-    /// An empty scratch (buffers grow to the first call's lane count and
-    /// stay allocated).
-    pub fn new() -> Self {
-        LaneScratch::default()
+    let mut clock = EventClock::new(lanes);
+    for d in durations {
+        clock.schedule(0, d);
     }
-
-    /// [`lane_schedule`] over this scratch's buffers.
-    pub fn lane_schedule<I>(&mut self, durations: I, lanes: usize) -> u64
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let lanes = lanes.max(1);
-        if lanes == 1 {
-            return durations.into_iter().sum();
-        }
-        if lanes >= HEAP_LANES_MIN {
-            self.free.clear();
-            for i in 0..lanes {
-                self.free.push(Reverse((0, i)));
-            }
-            let mut makespan = 0u64;
-            for d in durations {
-                let Reverse((free_at, lane)) = self.free.pop().expect("at least one lane");
-                let done = free_at + d;
-                self.free.push(Reverse((done, lane)));
-                makespan = makespan.max(done);
-            }
-            return makespan;
-        }
-        self.load.clear();
-        self.load.resize(lanes, 0);
-        for d in durations {
-            let min = (0..lanes)
-                .min_by_key(|&i| self.load[i])
-                .expect("at least one lane");
-            self.load[min] += d;
-        }
-        self.load.iter().copied().max().unwrap_or(0)
-    }
+    clock.makespan()
 }
 
 /// Event-driven virtual clock: `K` request lanes serving tasks that become
@@ -225,9 +157,12 @@ impl EventClock {
     /// not banked). Ties between equally-free lanes go to the lowest lane
     /// index, matching [`lane_schedule`]'s round-robin determinism.
     pub fn schedule(&mut self, release: u64, duration: u64) -> u64 {
-        let Reverse((free_at, lane)) = self.free.pop().expect("at least one lane");
+        // Rewrite the earliest-free lane in place: one sift-down instead of
+        // a pop and a push.
+        let mut top = self.free.peek_mut().expect("at least one lane");
+        let Reverse((free_at, lane)) = *top;
         let done = free_at.max(release) + duration;
-        self.free.push(Reverse((done, lane)));
+        *top = Reverse((done, lane));
         self.makespan = self.makespan.max(done);
         done
     }
@@ -250,43 +185,6 @@ impl EventClock {
             .filter(|Reverse((free_at, _))| *free_at <= t)
             .count()
     }
-
-    /// Resets the clock to `lanes` fresh lanes (clamped to ≥ 1), all free
-    /// at time zero, reusing the heap's allocation. After a reset the
-    /// clock is indistinguishable from `EventClock::new(lanes)`.
-    pub fn reset(&mut self, lanes: usize) {
-        let lanes = lanes.max(1);
-        self.free.clear();
-        for i in 0..lanes {
-            self.free.push(Reverse((0, i)));
-        }
-        self.lanes = lanes;
-        self.makespan = 0;
-    }
-}
-
-/// Fairness rule a shared [`LanePool`] arbitrates concurrent sessions by
-/// when several have work ready at the same virtual instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FairShare {
-    /// Deficit-weighted: the session with the least lane-busy virtual
-    /// time served so far goes first (ties to the lowest session index).
-    /// Sessions with short queries never starve behind heavy ones.
-    #[default]
-    DeficitMs,
-    /// Plain round-robin over session indices: a rotating cursor picks
-    /// the next session with ready work, regardless of how much service
-    /// each has consumed.
-    RoundRobin,
-}
-
-impl fmt::Display for FairShare {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FairShare::DeficitMs => write!(f, "deficit-ms"),
-            FairShare::RoundRobin => write!(f, "round-robin"),
-        }
-    }
 }
 
 /// A global pool of request lanes shared by many concurrent sessions —
@@ -296,8 +194,8 @@ impl fmt::Display for FairShare {
 /// The pool keeps the clock's determinism (earliest-free lane, ties to the
 /// lowest index; tasks must be scheduled in a deterministic order) and
 /// adds per-session service accounting: every scheduled task's duration is
-/// tallied against its session, which is what deficit-weighted fairness
-/// ([`FairShare::DeficitMs`]) and the utilisation report read.
+/// tallied against its session, which is what the multi-query replay's
+/// deficit-weighted fairness and the utilisation report read.
 #[derive(Debug, Clone)]
 pub struct LanePool {
     clock: EventClock,
@@ -341,7 +239,8 @@ impl LanePool {
     }
 
     /// Lane-busy virtual milliseconds served to `session` so far — the
-    /// deficit counter [`FairShare::DeficitMs`] arbitrates on.
+    /// deficit counter the multi-query replay arbitrates on (the
+    /// least-served session with ready work goes first).
     pub fn served_ms(&self, session: usize) -> u64 {
         self.served.get(session).copied().unwrap_or(0)
     }
@@ -403,9 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_schedule_matches_reference_min_scan() {
-        // The pre-heap formulation, kept as the reference: O(lanes)
-        // min-scan per item, first minimal lane wins.
+    fn lane_schedule_matches_reference_min_scan() {
+        // The min-scan formulation, kept as the reference: O(lanes)
+        // scan per item, first minimal lane wins.
         fn reference(durations: &[u64], lanes: usize) -> u64 {
             let mut load = vec![0u64; lanes];
             for &d in durations {
@@ -430,22 +329,6 @@ mod tests {
             assert_eq!(
                 lane_schedule(durations.iter().copied(), lanes),
                 reference(&durations, lanes),
-                "lanes {lanes}"
-            );
-        }
-    }
-
-    #[test]
-    fn event_clock_with_zero_releases_is_a_wave() {
-        let durations = [7u64, 3, 9, 4, 1, 12, 5, 0, 9];
-        for lanes in 1..6 {
-            let mut clock = EventClock::new(lanes);
-            for &d in &durations {
-                clock.schedule(0, d);
-            }
-            assert_eq!(
-                clock.makespan(),
-                lane_schedule(durations.iter().copied(), lanes),
                 "lanes {lanes}"
             );
         }
@@ -515,47 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_matches_the_free_function_across_reuse() {
-        // One scratch reused across differing lane counts (including the
-        // heap path) must stay bit-identical with fresh-state calls.
-        let mut x = 0xdeadbeefcafef00du64;
-        let durations: Vec<u64> = (0..500)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x % 23
-            })
-            .collect();
-        let mut scratch = LaneScratch::new();
-        for &lanes in &[1usize, 2, 8, 64, 3, 32, 1, 100] {
-            assert_eq!(
-                scratch.lane_schedule(durations.iter().copied(), lanes),
-                lane_schedule(durations.iter().copied(), lanes),
-                "lanes {lanes}"
-            );
-        }
-    }
-
-    #[test]
-    fn event_clock_reset_is_a_fresh_clock() {
-        let mut clock = EventClock::new(2);
-        clock.schedule(0, 10);
-        clock.schedule(0, 7);
-        clock.reset(3);
-        assert_eq!(clock.lanes(), 3);
-        assert_eq!(clock.makespan(), 0);
-        assert_eq!(clock.idle_lanes(0), 3);
-        // Same schedule as a new clock, including tie-breaks.
-        let mut fresh = EventClock::new(3);
-        for &(r, d) in &[(0u64, 5u64), (0, 5), (0, 5), (2, 4), (0, 1)] {
-            assert_eq!(clock.schedule(r, d), fresh.schedule(r, d));
-        }
-        clock.reset(0);
-        assert_eq!(clock.lanes(), 1);
-    }
-
-    #[test]
     fn lane_pool_reproduces_the_event_clock() {
         // A one-session pool is exactly an EventClock with accounting.
         let mut pool = LanePool::new(4, 1);
@@ -586,12 +428,5 @@ mod tests {
         assert!((pool.utilisation() - expect).abs() < 1e-12);
         assert_eq!(LanePool::new(8, 0).sessions(), 1);
         assert_eq!(LanePool::new(8, 2).utilisation(), 0.0);
-    }
-
-    #[test]
-    fn fair_share_renders_its_label() {
-        assert_eq!(FairShare::default(), FairShare::DeficitMs);
-        assert_eq!(FairShare::DeficitMs.to_string(), "deficit-ms");
-        assert_eq!(FairShare::RoundRobin.to_string(), "round-robin");
     }
 }

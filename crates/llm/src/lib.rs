@@ -47,7 +47,7 @@ pub use client::{
 pub use faults::{FaultProfile, FaultyLlm};
 pub use intent::{CmpOp, Condition, PromptValue, TaskIntent};
 pub use knowledge::{Entity, EntityId, FactValue, KnowledgeStore};
-pub use lanes::{lane_schedule, EventClock, FairShare, LanePool, LaneScratch, Parallelism};
+pub use lanes::{lane_schedule, EventClock, LanePool, Parallelism};
 pub use model::{Completion, Fault, FaultKind, FixedResponder, LanguageModel, Usage};
 pub use nlq::{AggIntent, AggKind, JoinIntent, QueryIntent};
 pub use profiles::ModelProfile;

@@ -146,10 +146,9 @@ fn main() {
 
     // Admission control: the same streaming stack with cross-query
     // scheduling armed. EXPLAIN gains a queueing-aware `admission:` line
-    // naming the shared-pool width, the in-flight window, the per-session
-    // quota and the fair-share rule — the plan itself (and its cost
-    // estimates) are untouched, because admission only reshapes *when*
-    // traces replay, never what the query asks.
+    // naming the shared-pool width and the in-flight window — the plan
+    // itself (and its cost estimates) are untouched, because admission
+    // only reshapes *when* traces replay, never what the query asks.
     let galois = Galois::with_options(
         Arc::new(SimLlm::new(
             scenario.knowledge.clone(),

@@ -2,8 +2,8 @@
 //! change *clocks only*, never answers or prompt accounting.
 //!
 //! 1. **Concurrency invariance** — for any session count, any
-//!    session-assignment permutation, any admission order the fair-share
-//!    rules produce, and any lane/batch shape: every query's relation,
+//!    session-assignment permutation, the admission order deficit-ms fair
+//!    share produces, and any lane/batch shape: every query's relation,
 //!    rows-in-order, and `QueryStats` modulo the clocks (`virtual_ms`,
 //!    `queue_ms`, wall) are bit-identical with the single-session run.
 //!    Per-kind prompt totals and cache hits are pinned per query, not
@@ -15,8 +15,7 @@
 //!    and arrival/finish times chaining as the serial clock.
 //! 3. **Concurrency wins the makespan** — at 8 sessions over the derived
 //!    `sessions × K` pool, the suite makespan is strictly below the
-//!    serial suite clock, utilisation lands in `(0, 1]`, and the two
-//!    fair-share rules agree on answers while both stay under it.
+//!    serial suite clock and utilisation lands in `(0, 1]`.
 //! 4. **Admission delay is measured, not lost** — a `max_inflight` cap
 //!    produces positive `queue_ms` without touching answers or prompts,
 //!    and every outcome still satisfies `arrival ≤ admitted ≤ finished`.
@@ -27,8 +26,8 @@ mod common;
 
 use common::{assert_stats_eq, options, oracle_session, permutation};
 use galois::core::{
-    run_multi_query, AdmissionPolicy, FairShare, ListStore, MultiQueryReport, Pipeline,
-    PromptBatch, QueryStats,
+    run_multi_query, AdmissionPolicy, ListStore, MultiQueryReport, Pipeline, PromptBatch,
+    QueryStats,
 };
 use galois::dataset::{Scenario, WorldConfig};
 use proptest::prelude::*;
@@ -88,7 +87,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Axis sweep: world seed × sessions {1, 2, 8} × assignment
-    /// permutation × fair-share rule × lanes × batch shape. The
+    /// permutation × lanes × batch shape. The
     /// single-session run is the reference; every other shape must agree
     /// on answers and accounting query by query.
     #[test]
@@ -96,7 +95,6 @@ proptest! {
         seed in prop_oneof![Just(42u64), Just(7u64), Just(1234u64)],
         sessions in prop_oneof![Just(1usize), Just(2), Just(8)],
         perm_state in any::<u64>(),
-        share in prop_oneof![Just(FairShare::DeficitMs), Just(FairShare::RoundRobin)],
         lanes in prop_oneof![Just(1usize), Just(8)],
         grid in any::<bool>(),
     ) {
@@ -111,8 +109,7 @@ proptest! {
 
         let perm = permutation(n, perm_state);
         let session_of: Vec<usize> = perm.iter().map(|&p| p % sessions).collect();
-        let policy = AdmissionPolicy { share, ..AdmissionPolicy::default() };
-        let report = run(&s, batch, lanes, &session_of, &policy);
+        let report = run(&s, batch, lanes, &session_of, &AdmissionPolicy::default());
 
         prop_assert_eq!(report.outcomes.len(), reference.outcomes.len());
         for (i, (got, want)) in report.outcomes.iter().zip(&reference.outcomes).enumerate() {
@@ -126,7 +123,7 @@ proptest! {
             assert_stats_eq_modulo_clocks(
                 &got.result.stats,
                 &want.result.stats,
-                &format!("stats, query {i} (seed {seed}, sessions {sessions}, {share:?})"),
+                &format!("stats, query {i} (seed {seed}, sessions {sessions})"),
             );
             prop_assert_eq!(got.session, session_of[i], "session label, query {}", i);
         }
@@ -185,7 +182,7 @@ fn single_session_replay_is_serial_execution_bit_for_bit() {
 }
 
 #[test]
-fn eight_sessions_beat_the_serial_clock_under_both_shares() {
+fn eight_sessions_beat_the_serial_clock() {
     let s = scenario(42);
     let n = s.suite.len();
     let serial_sum: u64 = run(
@@ -198,41 +195,30 @@ fn eight_sessions_beat_the_serial_clock_under_both_shares() {
     .makespan_ms;
 
     let session_of: Vec<usize> = (0..n).map(|i| i % 8).collect();
-    for share in [FairShare::DeficitMs, FairShare::RoundRobin] {
-        let report = run(
-            &s,
-            PromptBatch::Keys(10),
-            8,
-            &session_of,
-            &AdmissionPolicy {
-                share,
-                ..AdmissionPolicy::default()
-            },
-        );
-        assert!(
-            report.makespan_ms < serial_sum,
-            "{share:?}: makespan {} must beat the serial clock {serial_sum}",
-            report.makespan_ms
-        );
-        assert_eq!(
-            report.pool_lanes, 64,
-            "{share:?}: derived sessions x K pool"
-        );
-        assert!(
-            report.lane_utilisation > 0.0 && report.lane_utilisation <= 1.0,
-            "{share:?}: utilisation {} out of range",
-            report.lane_utilisation
-        );
-        assert_eq!(
-            report.total_queue_ms, 0,
-            "{share:?}: nothing queues uncapped"
-        );
-        assert!(
-            report.p50_latency_ms() <= report.p99_latency_ms()
-                && report.p99_latency_ms() <= report.makespan_ms,
-            "{share:?}: percentile ordering"
-        );
-    }
+    let report = run(
+        &s,
+        PromptBatch::Keys(10),
+        8,
+        &session_of,
+        &AdmissionPolicy::default(),
+    );
+    assert!(
+        report.makespan_ms < serial_sum,
+        "makespan {} must beat the serial clock {serial_sum}",
+        report.makespan_ms
+    );
+    assert_eq!(report.pool_lanes, 64, "derived sessions x K pool");
+    assert!(
+        report.lane_utilisation > 0.0 && report.lane_utilisation <= 1.0,
+        "utilisation {} out of range",
+        report.lane_utilisation
+    );
+    assert_eq!(report.total_queue_ms, 0, "nothing queues uncapped");
+    assert!(
+        report.p50_latency_ms() <= report.p99_latency_ms()
+            && report.p99_latency_ms() <= report.makespan_ms,
+        "percentile ordering"
+    );
 }
 
 #[test]
